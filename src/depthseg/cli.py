@@ -166,8 +166,6 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="depthseg",
                      description="Stereo depth + segmentation refinement "
                                  "toolbox")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="reserved; computation is single-threaded")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="render a synthetic stereo scene")

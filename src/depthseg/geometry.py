@@ -4,6 +4,10 @@ flip-based post-processing.
 All images are numpy arrays of shape (H, W) or (H, W, C); depth maps are
 (H, W) float arrays in meters. Sample-coordinate fields are (H, W, 2) arrays
 holding (u, v) = (column, row) positions into the source image.
+
+The module also holds two private helpers the other modules share: the
+Chebyshev-neighborhood views behind every wavefront and the ``key=value``
+text reader behind the scene and loss-weight files.
 """
 
 from __future__ import annotations
@@ -78,6 +82,43 @@ def disparity_to_depth(sigma: np.ndarray, params: DepthParams) -> np.ndarray:
     return 1.0 / (params.c1 * sigma + params.c2)
 
 
+def _neighbor_offsets(radius: int) -> list[tuple[int, int]]:
+    # raster order; the center is excluded (it is never confident while the
+    # pixel itself is unreliable)
+    return [(dr, dc)
+            for dr in range(-radius, radius + 1)
+            for dc in range(-radius, radius + 1)
+            if (dr, dc) != (0, 0)]
+
+
+def _neighbor_views(arr: np.ndarray, radius: int, fill):
+    """Yield, for each offset (dr, dc) in ``_neighbor_offsets`` order, an
+    (H, W) view holding every pixel's neighbor at that offset; neighbors
+    outside the image read ``fill``. The array is padded once per call."""
+    h, w = arr.shape
+    padded = np.pad(arr, radius, constant_values=fill)
+    for dr, dc in _neighbor_offsets(radius):
+        yield padded[radius + dr:radius + dr + h, radius + dc:radius + dc + w]
+
+
+def _key_values(path, error: type[Exception]):
+    """Yield (lineno, key, value) for each ``key=value`` line of a text file.
+
+    ``#`` starts a comment, and blank lines are skipped. A line without
+    ``=`` raises ``error``.
+    """
+    with open(path) as f:
+        lines = f.readlines()
+    for lineno, line in enumerate(lines, 1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise error(f"{path}:{lineno}: expected key=value")
+        key, value = (part.strip() for part in line.split("=", 1))
+        yield lineno, key, value
+
+
 def load_camera_pose(path) -> tuple[Camera, Pose]:
     """Read ``fx fy cx cy`` followed by 12 numbers (row-major R | t)."""
     with open(path) as f:
@@ -100,8 +141,9 @@ def project(depth: np.ndarray, pose: Pose, cam: Camera,
     depth = np.asarray(depth, dtype=np.float64)
     if depth.ndim != 2:
         raise GeometryError("depth must be a 2D map")
-    if depth.size == 0 or depth.min() <= 0:
-        raise GeometryError("depth must be positive everywhere")
+    if (depth.size == 0 or not np.all(np.isfinite(depth))
+            or depth.min() <= 0):
+        raise GeometryError("depth must be finite and positive everywhere")
     if cam_src is None:
         cam_src = cam
     h, w = depth.shape

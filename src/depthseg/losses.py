@@ -51,17 +51,10 @@ class LossWeights:
         weights = cls()
         fields = set(weights.__dataclass_fields__)
         overrides = {}
-        with open(path) as f:
-            for lineno, line in enumerate(f, 1):
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise LossError(f"{path}:{lineno}: expected key=value")
-                key, value = (part.strip() for part in line.split("=", 1))
-                if key not in fields:
-                    raise LossError(f"{path}:{lineno}: unknown key {key!r}")
-                overrides[key] = float(value)
+        for lineno, key, value in geometry._key_values(path, LossError):
+            if key not in fields:
+                raise LossError(f"{path}:{lineno}: unknown key {key!r}")
+            overrides[key] = float(value)
         return replace(weights, **overrides)
 
 

@@ -8,10 +8,11 @@ confident set) is updated and becomes confident itself.
 
 Each pass has two interchangeable implementations:
 
-* a vectorized wavefront built from shifted-array neighborhoods
-  (``impl="parallel"``, the default), and
+* a vectorized wavefront that reads each neighbor offset as a view of one
+  padded array (``impl="parallel"``, the default); the depth pass runs one
+  wavefront for all classes over a per-pixel class-index map, and
 * a plain per-pixel simulator (``impl="reference"``) used as the equivalence
-  oracle in tests.
+  oracle in tests; it runs the depth pass one class at a time.
 
 Outputs of the two are bitwise identical.
 """
@@ -53,21 +54,14 @@ class RefineConfig:
 
 @dataclass
 class RefineState:
-    """Confident/unreliable partition plus the values being refined."""
+    """Confident/unreliable partition of the pixels a pass refines."""
 
-    values: np.ndarray
     confident: np.ndarray
     unreliable: np.ndarray
-    iteration: int = 0
 
     def __post_init__(self):
         if (self.confident & self.unreliable).any():
             raise RefineError("confident and unreliable sets overlap")
-
-
-@dataclass
-class ClassRefineState(RefineState):
-    class_id: int = 0
 
 
 @dataclass(frozen=True)
@@ -81,31 +75,17 @@ class ClassSet:
         object.__setattr__(self, "classes", ids)
 
 
-def _neighbor_offsets(radius: int) -> list[tuple[int, int]]:
-    # raster order; the center is excluded (it is never confident while the
-    # pixel itself is unreliable)
-    return [(dr, dc)
-            for dr in range(-radius, radius + 1)
-            for dc in range(-radius, radius + 1)
-            if (dr, dc) != (0, 0)]
-
-
-def _shifted(arr: np.ndarray, dr: int, dc: int, fill) -> np.ndarray:
-    """Value of the neighbor at offset (dr, dc) for every pixel."""
-    out = np.full_like(arr, fill)
-    h, w = arr.shape
-    rs_dst = slice(max(0, -dr), min(h, h - dr))
-    cs_dst = slice(max(0, -dc), min(w, w - dc))
-    rs_src = slice(max(0, dr), min(h, h + dr))
-    cs_src = slice(max(0, dc), min(w, w + dc))
-    out[rs_dst, cs_dst] = arr[rs_src, cs_src]
-    return out
-
-
 def _check_same_shape(*arrays):
     shapes = {a.shape for a in arrays}
     if len(shapes) != 1:
         raise RefineError(f"shape mismatch: {sorted(shapes)}")
+
+
+def _check_depth(depth: np.ndarray):
+    if depth.size == 0:
+        raise RefineError("empty image")
+    if not np.all(np.isfinite(depth)) or depth.min() <= 0:
+        raise RefineError("depth must be finite and positive")
 
 
 def split_confidence_by_agreement(y: np.ndarray,
@@ -115,7 +95,7 @@ def split_confidence_by_agreement(y: np.ndarray,
     y_hat = np.asarray(y_hat)
     _check_same_shape(y, y_hat)
     agree = y == y_hat
-    return RefineState(values=y.copy(), confident=agree, unreliable=~agree)
+    return RefineState(confident=agree, unreliable=~agree)
 
 
 def _resolve_threshold(cfg: RefineConfig, depth: np.ndarray,
@@ -137,10 +117,7 @@ def refine_segmentation_with_depth(y: np.ndarray, y_hat: np.ndarray,
     y = np.asarray(y)
     depth = np.asarray(depth, dtype=np.float64)
     _check_same_shape(y, np.asarray(y_hat), depth)
-    if y.size == 0:
-        raise RefineError("empty image")
-    if not np.all(np.isfinite(depth)) or depth.min() <= 0:
-        raise RefineError("depth must be finite and positive")
+    _check_depth(depth)
     state = split_confidence_by_agreement(y, y_hat)
     threshold = _resolve_threshold(cfg, depth, state.confident)
     if impl == "parallel":
@@ -153,17 +130,17 @@ def refine_segmentation_with_depth(y: np.ndarray, y_hat: np.ndarray,
 def _refine_seg_parallel(y, confident, depth, threshold, cfg):
     labels = y.copy()
     conf = confident.copy()
-    offsets = _neighbor_offsets(cfg.neighborhood_radius)
+    r = cfg.neighborhood_radius
+    nb_depths = list(geometry._neighbor_views(depth, r, np.inf))
     for _ in range(cfg.max_iterations):
         if conf.all():
             break
         best_diff = np.full(depth.shape, np.inf)
         best_label = np.zeros_like(labels)
         has_conf_nb = np.zeros(depth.shape, dtype=bool)
-        for dr, dc in offsets:
-            nb_conf = _shifted(conf, dr, dc, False)
-            nb_depth = _shifted(depth, dr, dc, np.inf)
-            nb_label = _shifted(labels, dr, dc, 0)
+        for nb_conf, nb_depth, nb_label in zip(
+                geometry._neighbor_views(conf, r, False), nb_depths,
+                geometry._neighbor_views(labels, r, 0)):
             cand = np.where(nb_conf, np.abs(depth - nb_depth), np.inf)
             take = cand < best_diff  # strict: earliest raster offset wins ties
             best_diff = np.where(take, cand, best_diff)
@@ -183,7 +160,7 @@ def _refine_seg_reference(y, confident, depth, threshold, cfg):
     conf = confident.copy()
     h, w = depth.shape
     r = cfg.neighborhood_radius
-    offsets = _neighbor_offsets(r)
+    offsets = geometry._neighbor_offsets(r)
     for _ in range(cfg.max_iterations):
         prev_labels = labels.copy()
         prev_conf = conf.copy()
@@ -219,8 +196,9 @@ def split_confidence_by_consistency(depth: np.ndarray, y_refined: np.ndarray,
                                     y_t: np.ndarray, y_st: np.ndarray,
                                     warp_valid: np.ndarray,
                                     classes: ClassSet | Sequence[int]
-                                    ) -> list[ClassRefineState]:
-    """Per-class partition of depth pixels by cross-view label consistency.
+                                    ) -> list[RefineState]:
+    """Per-class partition of depth pixels by cross-view label consistency,
+    one state per class in ``classes`` order.
 
     A pixel of class k is confident iff the target-view and warped-view
     labels agree and the warp sample was valid; warp-invalid pixels are
@@ -241,57 +219,69 @@ def split_confidence_by_consistency(depth: np.ndarray, y_refined: np.ndarray,
     states = []
     for k in classes.classes:
         mask = y_refined == k
-        states.append(ClassRefineState(values=depth.copy(),
-                                       confident=mask & consistent,
-                                       unreliable=mask & ~consistent,
-                                       class_id=k))
+        states.append(RefineState(confident=mask & consistent,
+                                  unreliable=mask & ~consistent))
     return states
 
 
 def refine_depth_with_segmentation(depth: np.ndarray,
-                                   states: Sequence[ClassRefineState],
+                                   states: Sequence[RefineState],
                                    cfg: RefineConfig = RefineConfig(),
                                    impl: str = "parallel") -> np.ndarray:
-    """Clip each unreliable depth into the range spanned by confident
-    same-class neighbors, propagating class by class."""
+    """Clip each unreliable depth into the range spanned by its confident
+    same-class neighbors; ``states`` holds one partition per class, and the
+    classes' pixel sets must not overlap. All classes propagate in one
+    wavefront, so a cap of N iterations caps every class at N."""
     depth = np.asarray(depth, dtype=np.float64)
-    out = depth.copy()
-    for st in states:
+    _check_depth(depth)
+    # per-pixel index of the state whose class holds it, -1 for none
+    owner = np.full(depth.shape, -1, dtype=np.intp)
+    for i, st in enumerate(states):
         _check_same_shape(depth, st.confident, st.unreliable)
-        if impl == "parallel":
-            vals, mask = _refine_depth_class_parallel(depth, st, cfg)
-        elif impl == "reference":
+        mask = st.confident | st.unreliable
+        if (mask & (owner >= 0)).any():
+            raise RefineError("class states overlap")
+        owner[mask] = i
+    if impl == "parallel":
+        return _refine_depth_parallel(depth, states, owner, cfg)
+    if impl == "reference":
+        out = depth.copy()
+        for st in states:
             vals, mask = _refine_depth_class_reference(depth, st, cfg)
-        else:
-            raise RefineError(f"unknown impl {impl!r}")
-        out[mask] = vals[mask]
-    return out
+            out[mask] = vals[mask]
+        return out
+    raise RefineError(f"unknown impl {impl!r}")
 
 
-def _refine_depth_class_parallel(depth, st, cfg):
+def _refine_depth_parallel(depth, states, owner, cfg):
     vals = depth.copy()
-    conf = st.confident.copy()
-    unrel = st.unreliable.copy()
-    class_mask = st.confident | st.unreliable
-    offsets = _neighbor_offsets(cfg.neighborhood_radius)
+    unrel = np.zeros(depth.shape, dtype=bool)
+    # class index of each confident pixel, -1 elsewhere: a neighbor counts
+    # iff its entry equals the pixel's own class index
+    conf_owner = np.full(depth.shape, -1, dtype=np.intp)
+    for i, st in enumerate(states):
+        unrel |= st.unreliable
+        conf_owner[st.confident] = i
+    r = cfg.neighborhood_radius
     for _ in range(cfg.max_iterations):
         if not unrel.any():
             break
         c_min = np.full(depth.shape, np.inf)
         c_max = np.full(depth.shape, -np.inf)
-        for dr, dc in offsets:
-            nb_conf = _shifted(conf, dr, dc, False)
-            nb_val = _shifted(vals, dr, dc, 0.0)
-            c_min = np.minimum(c_min, np.where(nb_conf, nb_val, np.inf))
-            c_max = np.maximum(c_max, np.where(nb_conf, nb_val, -np.inf))
+        for nb_owner, nb_val in zip(
+                geometry._neighbor_views(conf_owner, r, -1),
+                geometry._neighbor_views(vals, r, 0.0)):
+            same = nb_owner == owner
+            np.minimum(c_min, np.where(same, nb_val, np.inf), out=c_min)
+            np.maximum(c_max, np.where(same, nb_val, -np.inf), out=c_max)
         eligible = unrel & np.isfinite(c_min)
         if not eligible.any():
             break
         clipped = np.maximum(np.minimum(vals, c_max), c_min)
         vals = np.where(eligible, clipped, vals)
-        conf |= eligible
+        conf_owner = np.where(eligible, owner, conf_owner)
         unrel &= ~eligible
-    return vals, class_mask
+    return vals
 
 
 def _refine_depth_class_reference(depth, st, cfg):
@@ -300,7 +290,7 @@ def _refine_depth_class_reference(depth, st, cfg):
     unrel = st.unreliable.copy()
     class_mask = st.confident | st.unreliable
     h, w = depth.shape
-    offsets = _neighbor_offsets(cfg.neighborhood_radius)
+    offsets = geometry._neighbor_offsets(cfg.neighborhood_radius)
     for _ in range(cfg.max_iterations):
         prev_vals = vals.copy()
         prev_conf = conf.copy()
@@ -341,7 +331,8 @@ def refine_depth_full(depth: np.ndarray, y_refined: np.ndarray,
                       classes: ClassSet | Sequence[int] | None = None,
                       impl: str = "parallel") -> np.ndarray:
     """Full depth refinement pass: warp the source view, segment both views,
-    split by consistency, then propagate confident depth per class."""
+    split by consistency, then propagate confident depth within each
+    class."""
     depth = np.asarray(depth, dtype=np.float64)
     warped, valid = geometry.warp(img_source, depth, pose, cam)
     y_t = np.asarray(segmenter(img_target))

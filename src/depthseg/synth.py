@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Camera
+from .geometry import Camera, _key_values, _neighbor_views
 
 
 class SynthError(ValueError):
@@ -237,20 +237,10 @@ def corrupt(gt_depth: np.ndarray, gt_seg: np.ndarray,
     background = depth.max()
     fg = depth < background
     for _ in range(cspec.bleed_width):
+        # where two bleeds meet, the nearer foreground depth wins
         nb_min = np.full(depth.shape, np.inf)
-        for dr in (-1, 0, 1):
-            for dc in (-1, 0, 1):
-                if (dr, dc) == (0, 0):
-                    continue
-                shifted = np.full(depth.shape, np.inf)
-                h, w = depth.shape
-                rs_dst = slice(max(0, -dr), min(h, h - dr))
-                cs_dst = slice(max(0, -dc), min(w, w - dc))
-                rs_src = slice(max(0, dr), min(h, h + dr))
-                cs_src = slice(max(0, dc), min(w, w + dc))
-                vals = np.where(fg, depth, np.inf)
-                shifted[rs_dst, cs_dst] = vals[rs_src, cs_src]
-                nb_min = np.minimum(nb_min, shifted)
+        for nb in _neighbor_views(np.where(fg, depth, np.inf), 1, np.inf):
+            np.minimum(nb_min, nb, out=nb_min)
         grow = ~fg & np.isfinite(nb_min)
         depth[grow] = nb_min[grow]
         fg |= grow
@@ -286,30 +276,21 @@ def parse_scene_config(path) -> SceneConfig:
     """
     values: dict[str, float] = {}
     objects: list[ObjectSpec] = []
-    with open(path) as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise SynthError(f"{path}:{lineno}: expected key=value")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key == "object":
-                parts = [p.strip() for p in value.split(",")]
-                shape = parts[0]
-                nums = [float(p) for p in parts[1:]]
-                if shape == "rect" and len(nums) == 7:
-                    objects.append(ObjectSpec("rect", tuple(nums[:4]),
-                                              nums[4], int(nums[5]),
-                                              int(nums[6])))
-                elif shape == "disk" and len(nums) == 6:
-                    objects.append(ObjectSpec("disk", tuple(nums[:3]),
-                                              nums[3], int(nums[4]),
-                                              int(nums[5])))
-                else:
-                    raise SynthError(f"{path}:{lineno}: malformed object")
+    for lineno, key, value in _key_values(path, SynthError):
+        if key == "object":
+            parts = [p.strip() for p in value.split(",")]
+            shape = parts[0]
+            nums = [float(p) for p in parts[1:]]
+            if shape == "rect" and len(nums) == 7:
+                objects.append(ObjectSpec("rect", tuple(nums[:4]), nums[4],
+                                          int(nums[5]), int(nums[6])))
+            elif shape == "disk" and len(nums) == 6:
+                objects.append(ObjectSpec("disk", tuple(nums[:3]), nums[3],
+                                          int(nums[4]), int(nums[5])))
             else:
-                values[key] = float(value)
+                raise SynthError(f"{path}:{lineno}: malformed object")
+        else:
+            values[key] = float(value)
     try:
         scene = SceneSpec(
             height=int(values.pop("height")),

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from depthseg import arch, geometry, losses, metrics, refine, synth, tensorio
-from depthseg.refine import ClassRefineState, RefineConfig
+from depthseg.refine import RefineConfig, RefineState
 from depthseg.tensorio import Tensor2D
 
 
@@ -74,9 +74,8 @@ def test_criterion_02_worked_micro_fixtures():
     assert out.tolist() == [[0, 1, 0]]
 
     d = np.array([[2.0, 9.0, 2.2]])
-    st = ClassRefineState(values=d.copy(),
-                          confident=np.array([[True, False, True]]),
-                          unreliable=np.array([[False, True, False]]))
+    st = RefineState(confident=np.array([[True, False, True]]),
+                     unreliable=np.array([[False, True, False]]))
     out = refine.refine_depth_with_segmentation(d, [st])
     assert out.tolist() == [[2.0, 2.2, 2.2]]
 

@@ -124,6 +124,23 @@ def test_refine_depth_restores_bleed(tmp_path):
     assert np.abs(fixed[band] - 10.0).max() < 0.5
 
 
+def test_refine_depth_nonfinite_depth_exit_code_2(tmp_path, capsys):
+    prefix = write_scene(tmp_path)
+    cam_file = tmp_path / "cam.txt"
+    cam_file.write_text(CAMERA_TXT)
+    depth = tensorio.load_tensor(str(prefix) + "_depth.stn").data.copy()
+    depth[3, 5, 0] = np.nan
+    tensorio.save_tensor(Tensor2D(depth), tmp_path / "nan.stn")
+    out = tmp_path / "fixed.stn"
+    assert run(["refine-depth", "--depth", str(tmp_path / "nan.stn"),
+                "--y", str(prefix) + "_seg.stn",
+                "--target", str(prefix) + "_left.stn",
+                "--src", str(prefix) + "_right.stn",
+                "--camera", str(cam_file), "--out", str(out)]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_loss_command_prints_value(tmp_path, capsys):
     a = np.zeros((8, 8), dtype=np.float32)
     b = np.full((8, 8), 0.5, dtype=np.float32)

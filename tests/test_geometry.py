@@ -71,6 +71,15 @@ def test_project_rejects_nonpositive_depth():
         project(np.zeros((4, 4)), Pose.identity(), cam)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_project_rejects_nonfinite_depth(bad):
+    cam = Camera(10.0, 10.0, 1.0, 1.0)
+    depth = np.ones((4, 4))
+    depth[1, 2] = bad
+    with pytest.raises(GeometryError):
+        project(depth, Pose.identity(), cam)
+
+
 def test_bilinear_sample_exact_on_lattice():
     rng = np.random.default_rng(3)
     img = rng.random((8, 9))

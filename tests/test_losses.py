@@ -39,6 +39,9 @@ def test_weights_from_config_rejects_unknown_key(tmp_path):
     path.write_text("nope=1\n")
     with pytest.raises(LossError):
         LossWeights.from_config(path)
+    path.write_text("# weights\n\ngamma 0.9\n")
+    with pytest.raises(LossError, match="weights.cfg:3: expected key=value"):
+        LossWeights.from_config(path)
 
 
 def test_ssim_identical_images_is_one():

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from depthseg.refine import (ClassRefineState, ClassSet, RefineConfig,
-                             RefineError, refine_depth_with_segmentation,
+from depthseg.refine import (ClassSet, RefineConfig, RefineError,
+                             RefineState, refine_depth_with_segmentation,
                              refine_segmentation_with_depth,
                              split_confidence_by_agreement,
                              split_confidence_by_consistency)
@@ -102,18 +102,16 @@ def test_seg_rejects_nonpositive_depth():
 
 def test_depth_fixture_clips_into_confident_range():
     depth = np.array([[2.0, 9.0, 2.2]])
-    st = ClassRefineState(values=depth.copy(),
-                          confident=np.array([[True, False, True]]),
-                          unreliable=np.array([[False, True, False]]))
+    st = RefineState(confident=np.array([[True, False, True]]),
+                     unreliable=np.array([[False, True, False]]))
     out = refine_depth_with_segmentation(depth, [st])
     assert np.allclose(out, [[2.0, 2.2, 2.2]])
 
 
 def test_depth_value_inside_range_is_unchanged():
     depth = np.array([[2.0, 2.1, 2.2]])
-    st = ClassRefineState(values=depth.copy(),
-                          confident=np.array([[True, False, True]]),
-                          unreliable=np.array([[False, True, False]]))
+    st = RefineState(confident=np.array([[True, False, True]]),
+                     unreliable=np.array([[False, True, False]]))
     out = refine_depth_with_segmentation(depth, [st])
     assert np.allclose(out, depth)
 
@@ -122,8 +120,7 @@ def test_depth_no_new_extremes():
     rng = np.random.default_rng(7)
     depth = rng.random((16, 16)) * 5 + 1
     conf = rng.random((16, 16)) < 0.3
-    st = ClassRefineState(values=depth.copy(), confident=conf,
-                          unreliable=~conf)
+    st = RefineState(confident=conf, unreliable=~conf)
     out = refine_depth_with_segmentation(depth, [st])
     lo = min(depth[conf].min(), depth.min())
     hi = max(depth[conf].max(), depth.max())
@@ -142,13 +139,33 @@ def test_depth_classes_do_not_interact():
     states = []
     for k in (0, 1):
         mask = seg == k
-        states.append(ClassRefineState(values=depth.copy(),
-                                       confident=mask & conf,
-                                       unreliable=mask & ~conf, class_id=k))
+        states.append(RefineState(confident=mask & conf,
+                                  unreliable=mask & ~conf))
     out = refine_depth_with_segmentation(depth, states)
     # the unreliable class-1 pixel has no confident class-1 neighbor, so the
     # surrounding class-0 values must not clip it
     assert out[0, 1] == 50.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_depth_rejects_nonfinite_depth(bad):
+    depth = np.array([[2.0, bad, 2.2]])
+    st = RefineState(confident=np.array([[True, False, True]]),
+                     unreliable=np.array([[False, True, False]]))
+    for impl in ("parallel", "reference"):
+        with pytest.raises(RefineError):
+            refine_depth_with_segmentation(depth, [st], impl=impl)
+
+
+def test_depth_rejects_overlapping_states():
+    depth = np.array([[2.0, 9.0, 2.2]])
+    a = RefineState(confident=np.array([[True, False, False]]),
+                    unreliable=np.array([[False, True, False]]))
+    b = RefineState(confident=np.array([[False, False, True]]),
+                    unreliable=np.array([[False, True, False]]))
+    for impl in ("parallel", "reference"):
+        with pytest.raises(RefineError):
+            refine_depth_with_segmentation(depth, [a, b], impl=impl)
 
 
 def test_split_by_consistency_marks_invalid_warp_unreliable():
@@ -183,4 +200,33 @@ def test_parallel_matches_reference(radius):
                            neighborhood_radius=radius)
         a = refine_segmentation_with_depth(y, y_hat, depth, cfg, "parallel")
         b = refine_segmentation_with_depth(y, y_hat, depth, cfg, "reference")
+        assert np.array_equal(a, b)
+        # depth pass: 2x2 blocks of three classes, so confident pixels of
+        # different classes touch everywhere and a leak across classes shows
+        seg = np.kron(rng.integers(0, 3, (h // 2 + 1, w // 2 + 1)),
+                      np.ones((2, 2), int))[:h, :w]
+        conf = rng.random((h, w)) < 0.3
+        states = [RefineState(confident=(seg == k) & conf,
+                              unreliable=(seg == k) & ~conf)
+                  for k in range(3)]
+        a = refine_depth_with_segmentation(depth, states, cfg, "parallel")
+        b = refine_depth_with_segmentation(depth, states, cfg, "reference")
+        assert np.array_equal(a, b)
+
+
+def test_radius_wider_than_image_matches_reference():
+    rng = np.random.default_rng(5)
+    cfg = RefineConfig(depth_threshold=0.3, neighborhood_radius=4)
+    for _ in range(10):
+        h, w = rng.integers(1, 4, 2)
+        depth = rng.random((h, w)) + 1
+        y = rng.integers(0, 3, (h, w))
+        y_hat = rng.integers(0, 3, (h, w))
+        a = refine_segmentation_with_depth(y, y_hat, depth, cfg, "parallel")
+        b = refine_segmentation_with_depth(y, y_hat, depth, cfg, "reference")
+        assert np.array_equal(a, b)
+        states = split_confidence_by_consistency(
+            depth, y, y, y_hat, np.ones((h, w), bool), range(3))
+        a = refine_depth_with_segmentation(depth, states, cfg, "parallel")
+        b = refine_depth_with_segmentation(depth, states, cfg, "reference")
         assert np.array_equal(a, b)

@@ -106,6 +106,14 @@ def test_corrupt_bleed_grows_foreground():
     # zero bleed is a no-op
     same, _ = corrupt(depth, seg, CorruptionSpec(bleed_width=0))
     assert np.array_equal(same, depth)
+    # two bleeds that meet: column 5 is 3 px from both objects, and the
+    # nearer depth wins there
+    depth = np.full((5, 11), 10.0)
+    depth[:, 2] = 3.0
+    depth[:, 8] = 2.0
+    bad, _ = corrupt(depth, np.zeros((5, 11), np.int32),
+                     CorruptionSpec(bleed_width=3))
+    assert bad[0].tolist() == [3.0] * 5 + [2.0] * 6
 
 
 def test_corrupt_flip_rate_and_determinism():
@@ -143,4 +151,7 @@ def test_parse_scene_config_rejects_unknown_key(tmp_path):
     path.write_text("height=4\nwidth=4\nfx=1\nfy=1\ncx=1\ncy=1\n"
                     "baseline=1\nbackground_depth=5\nbogus=1\n")
     with pytest.raises(SynthError):
+        parse_scene_config(path)
+    path.write_text("# scene\n\nheight 4\n")
+    with pytest.raises(SynthError, match="scene.cfg:3: expected key=value"):
         parse_scene_config(path)
