@@ -5,9 +5,10 @@ All images are numpy arrays of shape (H, W) or (H, W, C); depth maps are
 (H, W) float arrays in meters. Sample-coordinate fields are (H, W, 2) arrays
 holding (u, v) = (column, row) positions into the source image.
 
-The module also holds two private helpers the other modules share: the
-Chebyshev-neighborhood views behind every wavefront and the ``key=value``
-text reader behind the scene and loss-weight files.
+The module also holds private helpers the other modules share: the
+Chebyshev-neighborhood offsets, as flat steps into a padded array for the
+refinement wavefronts and as shifted views for ``synth.corrupt``'s bleed,
+and the ``key=value`` text reader behind the scene and loss-weight files.
 """
 
 from __future__ import annotations
@@ -91,10 +92,20 @@ def _neighbor_offsets(radius: int) -> list[tuple[int, int]]:
             if (dr, dc) != (0, 0)]
 
 
+def _flat_offsets(radius: int, width: int) -> np.ndarray:
+    """The ``_neighbor_offsets`` as steps into a flattened array of row
+    length ``width``, in the same raster order. In an image padded by
+    ``radius`` on every side, no step from an image pixel leaves the
+    padded array or wraps onto another row."""
+    return np.array([dr * width + dc for dr, dc in _neighbor_offsets(radius)],
+                    dtype=np.intp)
+
+
 def _neighbor_views(arr: np.ndarray, radius: int, fill):
     """Yield, for each offset (dr, dc) in ``_neighbor_offsets`` order, an
     (H, W) view holding every pixel's neighbor at that offset; neighbors
-    outside the image read ``fill``. The array is padded once per call."""
+    outside the image read ``fill``. The array is padded once per call.
+    ``synth.corrupt``'s bleed reads the whole image this way."""
     h, w = arr.shape
     padded = np.pad(arr, radius, constant_values=fill)
     for dr, dc in _neighbor_offsets(radius):

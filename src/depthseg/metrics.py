@@ -39,11 +39,21 @@ class DepthEvalResult:
 def evaluate_depth(pred, gt, gt_valid=None,
                    cap: float = DEFAULT_DEPTH_CAP) -> DepthEvalResult:
     """The standard seven error/accuracy metrics over pixels with valid
-    ground truth below the cap; predictions are clamped to [1e-3, cap]."""
+    ground truth below the cap; predictions are clamped to [1e-3, cap].
+
+    A NaN or infinite prediction anywhere, or a cap that is not finite,
+    raises ``MetricsError``. Non-finite ground truth needs no check: NaN and
+    -inf fail ``gt > 0`` and +inf fails ``gt <= cap``, so such pixels are
+    never valid.
+    """
     pred = np.asarray(pred, dtype=np.float64)
     gt = np.asarray(gt, dtype=np.float64)
     if pred.shape != gt.shape:
         raise MetricsError("shape mismatch")
+    if not np.all(np.isfinite(pred)):
+        raise MetricsError("predictions must be finite")
+    if not np.isfinite(cap):
+        raise MetricsError("cap must be finite")
     if gt_valid is None:
         gt_valid = np.ones(gt.shape, dtype=bool)
     valid = np.asarray(gt_valid, dtype=bool) & (gt > 0) & (gt <= cap)

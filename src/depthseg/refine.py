@@ -6,11 +6,19 @@ wavefront iterations in which every unreliable pixel that sees at least one
 confident neighbor (Chebyshev neighborhood of the previous iteration's
 confident set) is updated and becomes confident itself.
 
+A pass runs until an iteration confirms no pixel, or for at most
+``RefineConfig.max_iterations`` iterations when that is set.
+
 Each pass has two interchangeable implementations:
 
-* a vectorized wavefront that reads each neighbor offset as a view of one
-  padded array (``impl="parallel"``, the default); the depth pass runs one
-  wavefront for all classes over a per-pixel class-index map, and
+* a vectorized frontier wavefront (``impl="parallel"``, the default). Each
+  input is padded once and flattened, and neighbors are read through flat
+  index lists (``geometry._flat_offsets``). The first iteration reads the
+  neighbors of every pixel that could change; each later one reads only
+  those of the still-open pixels next to a pixel the previous iteration
+  confirmed, since the confident set only grows. Every value is gathered
+  before any is written. The depth pass runs one wavefront for all classes
+  over a per-pixel class-index map;
 * a plain per-pixel simulator (``impl="reference"``) used as the equivalence
   oracle in tests; it runs the depth pass one class at a time.
 
@@ -19,6 +27,7 @@ Outputs of the two are bitwise identical.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -36,20 +45,24 @@ class RefineConfig:
     """Propagation parameters.
 
     ``depth_threshold`` of None resolves to 5% of the median confident depth
-    at call time.
+    at call time. ``max_iterations`` of None runs each pass to its fixed
+    point; an integer stops it after that many wavefront iterations.
     """
 
     depth_threshold: float | None = None
     neighborhood_radius: int = 1
-    max_iterations: int = 512
+    max_iterations: int | None = None
 
     def __post_init__(self):
         if self.depth_threshold is not None and not self.depth_threshold > 0:
             raise RefineError("depth_threshold must be positive")
         if self.neighborhood_radius < 1:
             raise RefineError("neighborhood_radius must be >= 1")
-        if self.max_iterations < 1:
-            raise RefineError("max_iterations must be >= 1")
+        cap = self.max_iterations
+        if cap is not None and (isinstance(cap, bool)
+                                or not isinstance(cap, (int, np.integer))
+                                or cap < 1):
+            raise RefineError("max_iterations must be None or an int >= 1")
 
 
 @dataclass
@@ -127,32 +140,80 @@ def refine_segmentation_with_depth(y: np.ndarray, y_hat: np.ndarray,
     raise RefineError(f"unknown impl {impl!r}")
 
 
+def _iterations(cfg: RefineConfig):
+    """The iteration counter of a pass: up to the cap, or unbounded. Every
+    iteration that does not stop the pass confirms at least one pixel, so an
+    uncapped pass stops at its fixed point."""
+    if cfg.max_iterations is None:
+        return itertools.count()
+    return range(cfg.max_iterations)
+
+
+def _pad_flat(arr: np.ndarray, radius: int, fill=0) -> np.ndarray:
+    """``arr`` padded by ``radius`` with ``fill`` on every side, flattened."""
+    h, w = arr.shape
+    out = np.full((h + 2 * radius, w + 2 * radius), fill, dtype=arr.dtype)
+    out[radius:radius + h, radius:radius + w] = arr
+    return out.ravel()
+
+
+def _next_frontier(new: np.ndarray, offsets: np.ndarray, open_: np.ndarray,
+                   slot: np.ndarray) -> np.ndarray:
+    """Close the pixels ``new`` that an iteration confirmed, and return the
+    open pixels next to them, each once. The confident set only grows, so
+    no other pixel can gain a confident neighbor in the next iteration.
+    ``slot`` is scratch space as large as ``open_``."""
+    open_[new] = False
+    nb = (offsets[:, None] + new).ravel()
+    nb = nb[open_[nb]]
+    # each pixel keeps the one position that its slot ends up holding
+    pos = np.arange(nb.size)
+    slot[nb] = pos
+    return nb[slot[nb] == pos]
+
+
+def _unpad(flat: np.ndarray, shape: tuple[int, int], radius: int):
+    h, w = shape
+    padded = flat.reshape(h + 2 * radius, w + 2 * radius)
+    return padded[radius:radius + h, radius:radius + w].copy()
+
+
 def _refine_seg_parallel(y, confident, depth, threshold, cfg):
-    labels = y.copy()
-    conf = confident.copy()
     r = cfg.neighborhood_radius
-    nb_depths = list(geometry._neighbor_views(depth, r, np.inf))
-    for _ in range(cfg.max_iterations):
-        if conf.all():
+    offsets = geometry._flat_offsets(r, depth.shape[1] + 2 * r)
+    labels = _pad_flat(y, r)
+    dep = _pad_flat(depth, r, np.inf)
+    open_ = _pad_flat(~confident, r, False)
+    # depth of the confident pixels and +inf elsewhere: the gap to a pixel
+    # that is not confident is +inf, so it is never the closest
+    conf_dep = np.where(open_, np.inf, dep)
+    slot = np.empty(open_.size, dtype=np.intp)
+    cand = np.flatnonzero(open_)
+    for _ in _iterations(cfg):
+        if not cand.size:
             break
-        best_diff = np.full(depth.shape, np.inf)
-        best_label = np.zeros_like(labels)
-        has_conf_nb = np.zeros(depth.shape, dtype=bool)
-        for nb_conf, nb_depth, nb_label in zip(
-                geometry._neighbor_views(conf, r, False), nb_depths,
-                geometry._neighbor_views(labels, r, 0)):
-            cand = np.where(nb_conf, np.abs(depth - nb_depth), np.inf)
-            take = cand < best_diff  # strict: earliest raster offset wins ties
-            best_diff = np.where(take, cand, best_diff)
-            best_label = np.where(take, nb_label, best_label)
-            has_conf_nb |= nb_conf
-        eligible = ~conf & has_conf_nb
-        if not eligible.any():
+        # one offset at a time over candidate-sized arrays: the first
+        # frontier (every disagreeing pixel) is most of this pass's work, and
+        # arrays this size stay in cache where an (offsets, candidates)
+        # block would not
+        cand_dep = dep[cand]
+        best_gap = np.full(cand.size, np.inf)
+        best_nb = np.zeros_like(cand)
+        for off in offsets:
+            nb = cand + off
+            gap = np.abs(conf_dep[nb] - cand_dep)
+            closer = gap < best_gap  # strict: earliest raster offset wins ties
+            np.copyto(best_gap, gap, where=closer)
+            np.copyto(best_nb, nb, where=closer)
+        new = cand[best_gap < np.inf]
+        if not new.size:
             break
-        relabel = eligible & (best_diff < threshold)
-        labels = np.where(relabel, best_label, labels)
-        conf = conf | eligible
-    return labels
+        relabel = best_gap < threshold
+        # gather every new label before writing any
+        labels[cand[relabel]] = labels[best_nb[relabel]]
+        conf_dep[new] = dep[new]
+        cand = _next_frontier(new, offsets, open_, slot)
+    return _unpad(labels, depth.shape, r)
 
 
 def _refine_seg_reference(y, confident, depth, threshold, cfg):
@@ -161,7 +222,7 @@ def _refine_seg_reference(y, confident, depth, threshold, cfg):
     h, w = depth.shape
     r = cfg.neighborhood_radius
     offsets = geometry._neighbor_offsets(r)
-    for _ in range(cfg.max_iterations):
+    for _ in _iterations(cfg):
         prev_labels = labels.copy()
         prev_conf = conf.copy()
         changed = False
@@ -254,7 +315,6 @@ def refine_depth_with_segmentation(depth: np.ndarray,
 
 
 def _refine_depth_parallel(depth, states, owner, cfg):
-    vals = depth.copy()
     unrel = np.zeros(depth.shape, dtype=bool)
     # class index of each confident pixel, -1 elsewhere: a neighbor counts
     # iff its entry equals the pixel's own class index
@@ -263,25 +323,33 @@ def _refine_depth_parallel(depth, states, owner, cfg):
         unrel |= st.unreliable
         conf_owner[st.confident] = i
     r = cfg.neighborhood_radius
-    for _ in range(cfg.max_iterations):
-        if not unrel.any():
+    offsets = geometry._flat_offsets(r, depth.shape[1] + 2 * r)
+    vals = _pad_flat(depth, r)
+    owner = _pad_flat(owner, r, -1)
+    conf_owner = _pad_flat(conf_owner, r, -1)
+    open_ = _pad_flat(unrel, r, False)
+    slot = np.empty(open_.size, dtype=np.intp)
+    cand = np.flatnonzero(open_)
+    for _ in _iterations(cfg):
+        if not cand.size:
             break
-        c_min = np.full(depth.shape, np.inf)
-        c_max = np.full(depth.shape, -np.inf)
-        for nb_owner, nb_val in zip(
-                geometry._neighbor_views(conf_owner, r, -1),
-                geometry._neighbor_views(vals, r, 0.0)):
-            same = nb_owner == owner
-            np.minimum(c_min, np.where(same, nb_val, np.inf), out=c_min)
-            np.maximum(c_max, np.where(same, nb_val, -np.inf), out=c_max)
-        eligible = unrel & np.isfinite(c_min)
-        if not eligible.any():
+        # all offsets in one (offsets, candidates) block: this wavefront runs
+        # deep over small frontiers, where fewer numpy calls per iteration
+        # are what counts
+        nb = offsets[:, None] + cand
+        same = conf_owner[nb] == owner[cand]
+        confirmed = same.any(axis=0)
+        new = cand[confirmed]
+        if not new.size:
             break
-        clipped = np.maximum(np.minimum(vals, c_max), c_min)
-        vals = np.where(eligible, clipped, vals)
-        conf_owner = np.where(eligible, owner, conf_owner)
-        unrel &= ~eligible
-    return vals
+        nb_vals = vals[nb]
+        c_min = np.where(same, nb_vals, np.inf).min(axis=0)
+        c_max = np.where(same, nb_vals, -np.inf).max(axis=0)
+        vals[new] = np.maximum(np.minimum(vals[new], c_max[confirmed]),
+                               c_min[confirmed])
+        conf_owner[new] = owner[new]
+        cand = _next_frontier(new, offsets, open_, slot)
+    return _unpad(vals, depth.shape, r)
 
 
 def _refine_depth_class_reference(depth, st, cfg):
@@ -291,7 +359,7 @@ def _refine_depth_class_reference(depth, st, cfg):
     class_mask = st.confident | st.unreliable
     h, w = depth.shape
     offsets = geometry._neighbor_offsets(cfg.neighborhood_radius)
-    for _ in range(cfg.max_iterations):
+    for _ in _iterations(cfg):
         prev_vals = vals.copy()
         prev_conf = conf.copy()
         changed = False

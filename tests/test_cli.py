@@ -164,6 +164,19 @@ def test_eval_command_csv(tmp_path, capsys):
     assert lines[1].startswith("0.100000,0.150000,")
 
 
+def test_eval_nonfinite_prediction_exit_code_2(tmp_path, capsys):
+    pred = np.full((4, 4), 5.0, dtype=np.float32)
+    pred[2, 1] = np.nan
+    gt = np.full((4, 4), 5.0, dtype=np.float32)
+    tensorio.save_tensor(Tensor2D(pred), tmp_path / "p.stn")
+    tensorio.save_tensor(Tensor2D(gt), tmp_path / "g.stn")
+    assert run(["eval", "--pred", str(tmp_path / "p.stn"),
+                "--gt", str(tmp_path / "g.stn")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "finite" in captured.err
+
+
 def test_pp_command(tmp_path):
     d = np.full((4, 100), 2.0, dtype=np.float32)
     m = np.full((4, 100), 4.0, dtype=np.float32)

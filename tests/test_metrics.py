@@ -75,3 +75,29 @@ def test_reprojection_error_mean_and_std():
 def test_reprojection_error_rejects_length_mismatch():
     with pytest.raises(MetricsError):
         reprojection_error(np.zeros((2, 2)), np.zeros((3, 2)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nonfinite_prediction_rejected(bad):
+    gt = np.full((4, 4), 5.0)
+    pred = gt.copy()
+    pred[1, 2] = bad
+    with pytest.raises(MetricsError):
+        evaluate_depth(pred, gt)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nonfinite_ground_truth_is_not_valid(bad):
+    gt = np.full((4, 4), 5.0)
+    gt[0, 0] = bad
+    pred = np.full((4, 4), 4.0)
+    r = evaluate_depth(pred, gt)
+    assert r.valid_pixel_count == 15
+    assert r.abs_rel == pytest.approx(0.2)
+    assert np.isfinite([r.sq_rel, r.rmse, r.rmse_log]).all()
+
+
+@pytest.mark.parametrize("cap", [np.inf, np.nan])
+def test_nonfinite_cap_rejected(cap):
+    with pytest.raises(MetricsError):
+        evaluate_depth(np.full((2, 2), 5.0), np.full((2, 2), 5.0), cap=cap)

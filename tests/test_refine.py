@@ -15,6 +15,15 @@ def test_config_validation():
         RefineConfig(neighborhood_radius=0)
 
 
+def test_config_max_iterations_validation():
+    assert RefineConfig().max_iterations is None
+    for cap in (None, 1, 700, np.int64(3)):
+        assert RefineConfig(max_iterations=cap).max_iterations == cap
+    for bad in (0, -1, 2.5, True, "3"):
+        with pytest.raises(RefineError):
+            RefineConfig(max_iterations=bad)
+
+
 def test_split_by_agreement():
     y = np.array([[1, 2], [3, 3]])
     y_hat = np.array([[1, 0], [3, 1]])
@@ -230,3 +239,104 @@ def test_radius_wider_than_image_matches_reference():
         a = refine_depth_with_segmentation(depth, states, cfg, "parallel")
         b = refine_depth_with_segmentation(depth, states, cfg, "reference")
         assert np.array_equal(a, b)
+
+
+# longer than 512, the cap that once applied when none was given
+LONG_RUN = 700
+
+
+@pytest.mark.parametrize("impl", ["parallel", "reference"])
+def test_seg_long_run_reaches_fixed_point(impl):
+    # only the first pixel agrees with the prediction; its label sweeps the
+    # run one pixel per iteration
+    y = np.arange(LONG_RUN)[None, :] % 3 + 1
+    y[0, 0] = 0
+    y_hat = np.zeros_like(y)
+    depth = np.ones(y.shape)
+    out = refine_segmentation_with_depth(
+        y, y_hat, depth, RefineConfig(depth_threshold=0.5), impl)
+    assert (out == 0).all()
+    capped = refine_segmentation_with_depth(
+        y, y_hat, depth, RefineConfig(depth_threshold=0.5, max_iterations=512),
+        impl)
+    assert (capped != y).sum() == 512
+
+
+@pytest.mark.parametrize("impl", ["parallel", "reference"])
+def test_depth_long_strip_reaches_fixed_point(impl):
+    depth = np.full((1, LONG_RUN), 9.0)
+    depth[0, 0] = 2.0
+    conf = np.zeros(depth.shape, dtype=bool)
+    conf[0, 0] = True
+    st = RefineState(confident=conf, unreliable=~conf)
+    out = refine_depth_with_segmentation(depth, [st], RefineConfig(), impl)
+    assert (out == 2.0).all()
+
+
+def _wavefront_depth(confident, candidates, radius):
+    """Iterations a wavefront from ``confident`` takes to reach every
+    candidate it can reach, counted by repeated dilation."""
+    h, w = confident.shape
+    reached = confident.copy()
+    todo = candidates & ~confident
+    iterations = 0
+    while True:
+        padded = np.pad(reached, radius)
+        grown = np.zeros_like(reached)
+        for dr in range(2 * radius + 1):
+            for dc in range(2 * radius + 1):
+                grown |= padded[dr:dr + h, dc:dc + w]
+        step = grown & todo
+        if not step.any():
+            return iterations
+        reached |= step
+        todo &= ~step
+        iterations += 1
+
+
+@pytest.mark.parametrize("radius", [1, 2, 3])
+def test_parallel_matches_reference_at_every_cap(radius):
+    rng = np.random.default_rng(100 + radius)
+    # 1-pixel-wide images, and 2x2 where every radius is wider than the image
+    for h, w in ((9, 13), (12, 7), (1, 17), (15, 1), (2, 2)):
+        depth = rng.random((h, w)) * 4 + 1
+        conf = rng.random((h, w)) < 0.15
+        conf.flat[rng.integers(h * w)] = True
+
+        y = rng.integers(0, 3, (h, w))
+        y_hat = np.where(conf, y, y + 1)
+        base = dict(depth_threshold=1.0, neighborhood_radius=radius)
+        full = refine_segmentation_with_depth(
+            y, y_hat, depth, RefineConfig(**base), "reference")
+        n = _wavefront_depth(conf, ~conf, radius)
+        for cap in range(1, n + 2):
+            cfg = RefineConfig(max_iterations=cap, **base)
+            a = refine_segmentation_with_depth(y, y_hat, depth, cfg,
+                                               "parallel")
+            b = refine_segmentation_with_depth(y, y_hat, depth, cfg,
+                                               "reference")
+            assert np.array_equal(a, b), (h, w, cap)
+            if cap >= n:
+                assert np.array_equal(a, full), (h, w, cap)
+
+        # classes 0-2 in 2x2 blocks; class 3 holds the last pixel and has
+        # no confident pixel, so it is never reached
+        seg = np.kron(rng.integers(0, 3, (h // 2 + 1, w // 2 + 1)),
+                      np.ones((2, 2), int))[:h, :w]
+        seg[-1, -1] = 3
+        states = [RefineState(confident=(seg == k) & conf & (k != 3),
+                              unreliable=(seg == k) & ~(conf & (k != 3)))
+                  for k in range(4)]
+        full = refine_depth_with_segmentation(
+            depth, states, RefineConfig(**base), "reference")
+        n = max(_wavefront_depth(st.confident, st.unreliable, radius)
+                for st in states)
+        for cap in range(1, n + 2):
+            cfg = RefineConfig(max_iterations=cap, **base)
+            a = refine_depth_with_segmentation(depth, states, cfg, "parallel")
+            b = refine_depth_with_segmentation(depth, states, cfg,
+                                               "reference")
+            assert np.array_equal(a, b), (h, w, cap)
+            if cap >= n:
+                assert np.array_equal(a, full), (h, w, cap)
+        assert full[-1, -1] == depth[-1, -1]
