@@ -13,6 +13,7 @@ and the ``key=value`` text reader behind the scene and loss-weight files.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,9 @@ class Camera:
     cy: float
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.fx, self.fy, self.cx,
+                                              self.cy)):
+            raise GeometryError("camera intrinsics must be finite")
         if not (self.fx > 0 and self.fy > 0):
             raise GeometryError("focal lengths must be positive")
 
@@ -50,6 +54,8 @@ class Pose:
             raise GeometryError("rotation is not orthonormal")
         if abs(np.linalg.det(r) - 1.0) > 1e-6:
             raise GeometryError("rotation determinant must be +1")
+        if not np.isfinite(t).all():
+            raise GeometryError("translation must be finite")
         object.__setattr__(self, "rotation", r)
         object.__setattr__(self, "translation", t)
 
@@ -133,7 +139,11 @@ def _key_values(path, error: type[Exception]):
 def load_camera_pose(path) -> tuple[Camera, Pose]:
     """Read ``fx fy cx cy`` followed by 12 numbers (row-major R | t)."""
     with open(path) as f:
-        values = [float(tok) for tok in f.read().split()]
+        tokens = f.read().split()
+    try:
+        values = [float(tok) for tok in tokens]
+    except ValueError as e:
+        raise GeometryError(f"{path}: {e}") from None
     if len(values) != 16:
         raise GeometryError(f"{path}: expected 16 numbers, got {len(values)}")
     cam = Camera(*values[:4])

@@ -56,13 +56,17 @@ class RefineConfig:
     def __post_init__(self):
         if self.depth_threshold is not None and not self.depth_threshold > 0:
             raise RefineError("depth_threshold must be positive")
-        if self.neighborhood_radius < 1:
-            raise RefineError("neighborhood_radius must be >= 1")
+        if not _is_count(self.neighborhood_radius):
+            raise RefineError("neighborhood_radius must be an int >= 1")
         cap = self.max_iterations
-        if cap is not None and (isinstance(cap, bool)
-                                or not isinstance(cap, (int, np.integer))
-                                or cap < 1):
+        if cap is not None and not _is_count(cap):
             raise RefineError("max_iterations must be None or an int >= 1")
+
+
+def _is_count(value) -> bool:
+    """An int (not a bool) >= 1."""
+    return (isinstance(value, (int, np.integer))
+            and not isinstance(value, bool) and value >= 1)
 
 
 @dataclass

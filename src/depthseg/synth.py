@@ -6,10 +6,19 @@ pinhole renders of the same surfaces, so ground-truth depth, segmentation and
 the left-view occlusion mask are available analytically. ``corrupt`` adds the
 two noise modes the refinement algorithms target: foreground depth dilated
 into the background, and random label flips.
+
+``render`` draws each view in two passes. A z-buffer pass over the surfaces
+fills depth, labels and the index of the surface each pixel shows, and
+evaluates no texture. The texture is then evaluated once over the view, each
+pixel with the index, seed and disparity of its own surface. Texture, the
+dominant cost, is therefore evaluated once per pixel per view, whatever the
+number of surfaces; the z-buffer pass costs a few cheap (H, W) array
+operations per surface.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,24 +44,30 @@ class ObjectSpec:
     def __post_init__(self):
         if self.shape not in ("rect", "disk"):
             raise SynthError(f"unknown object shape {self.shape!r}")
-        if self.depth <= 0:
-            raise SynthError("object depth must be positive")
+        if not (math.isfinite(self.depth) and self.depth > 0):
+            raise SynthError("object depth must be positive and finite")
         n = 4 if self.shape == "rect" else 3
         if len(self.params) != n:
             raise SynthError(f"{self.shape} expects {n} parameters")
+        if not all(math.isfinite(p) for p in self.params):
+            raise SynthError(f"{self.shape} parameters must be finite")
 
     def mask(self, height: int, width: int,
              col_shift: float = 0.0) -> np.ndarray:
         """Membership of each pixel, with the object shifted left by
         ``col_shift`` columns (used for the second view)."""
-        rr, cc = np.meshgrid(np.arange(height, dtype=np.float64),
-                             np.arange(width, dtype=np.float64), indexing="ij")
-        cc = cc + col_shift
+        return self._contains(
+            np.arange(height, dtype=np.float64)[:, None],
+            np.arange(width, dtype=np.float64)[None, :] + col_shift)
+
+    def _contains(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Membership of the left-view points (rows, cols), which
+        broadcast against each other."""
         if self.shape == "rect":
             r0, c0, r1, c1 = self.params
-            return (rr >= r0) & (rr < r1) & (cc >= c0) & (cc < c1)
+            return (rows >= r0) & (rows < r1) & (cols >= c0) & (cols < c1)
         cr, ccen, rad = self.params
-        return (rr - cr) ** 2 + (cc - ccen) ** 2 <= rad ** 2
+        return (rows - cr) ** 2 + (cols - ccen) ** 2 <= rad ** 2
 
 
 @dataclass(frozen=True)
@@ -69,10 +84,11 @@ class SceneSpec:
     def __post_init__(self):
         if self.height <= 0 or self.width <= 0:
             raise SynthError("degenerate image size")
-        if self.baseline <= 0:
-            raise SynthError("baseline must be positive")
-        if self.background_depth <= 0:
-            raise SynthError("background depth must be positive")
+        if not (math.isfinite(self.baseline) and self.baseline > 0):
+            raise SynthError("baseline must be positive and finite")
+        if not (math.isfinite(self.background_depth)
+                and self.background_depth > 0):
+            raise SynthError("background depth must be positive and finite")
         for obj in self.objects:
             if obj.depth >= self.background_depth:
                 raise SynthError("object depths must be smaller than the "
@@ -96,8 +112,12 @@ class CorruptionSpec:
             raise SynthError("seg_flip_rate must lie in [0, 1]")
 
 
-def _hash_noise(iy: np.ndarray, ix: np.ndarray, seed: int) -> np.ndarray:
-    """Deterministic uniform [0, 1) values on integer lattice points."""
+def _hash_noise(iy: np.ndarray, ix: np.ndarray,
+                seed: int | np.ndarray) -> np.ndarray:
+    """Deterministic uniform [0, 1) values on integer lattice points.
+
+    ``seed`` is an int or a uint64 array that broadcasts with the points.
+    """
     seed_mix = (seed * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
     h = (iy.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
          ^ ix.astype(np.uint64) * np.uint64(0xBF58476D1CE4E5B9)
@@ -110,8 +130,8 @@ def _hash_noise(iy: np.ndarray, ix: np.ndarray, seed: int) -> np.ndarray:
     return (h >> np.uint64(11)).astype(np.float64) / float(1 << 53)
 
 
-def _value_noise(rows: np.ndarray, cols: np.ndarray, seed: int,
-                 cell: float) -> np.ndarray:
+def _value_noise(rows: np.ndarray, cols: np.ndarray,
+                 seed: int | np.ndarray, cell: float) -> np.ndarray:
     """Bilinearly interpolated lattice noise in [0, 1)."""
     y = rows / cell
     x = cols / cell
@@ -135,8 +155,9 @@ _TEX_BASE = (0.02, 0.36, 0.70)
 _TEX_SPAN = 0.28
 
 
-def surface_texture(rows: np.ndarray, cols: np.ndarray, surface_index: int,
-                    seed: int) -> np.ndarray:
+def surface_texture(rows: np.ndarray, cols: np.ndarray,
+                    surface_index: int | np.ndarray,
+                    seed: int | np.ndarray) -> np.ndarray:
     """Texture of a surface, parameterized by left-view pixel coordinates.
 
     Each surface's intensity band is split into three column stripes with a
@@ -145,8 +166,12 @@ def surface_texture(rows: np.ndarray, cols: np.ndarray, surface_index: int,
     three therefore always lands in a different 1/64-wide intensity bucket,
     which lets a quantizing classifier detect mis-sampled content exactly
     (offsets that are multiples of three are indistinguishable).
+
+    ``surface_index`` and ``seed`` are ints, or integer arrays that broadcast
+    with ``rows`` and ``cols`` and give each point its own surface; a seed
+    array is uint64 and holds the seeds modulo 2**64.
     """
-    base = _TEX_BASE[surface_index % len(_TEX_BASE)]
+    base = np.take(_TEX_BASE, np.mod(surface_index, len(_TEX_BASE)))
     stripe = np.mod(np.round(cols).astype(np.int64), 3).astype(np.float64)
     coarse = _value_noise(rows, cols, seed, cell=5.0)
     return base + _TEX_SPAN * (stripe + 0.6 * coarse) / 3.0
@@ -158,10 +183,13 @@ def render(spec: SceneSpec):
     Returns (img_left, img_right, depth_left, seg_left, occlusion_left);
     images are (H, W) float32 in [0, 1], depth float64 meters, seg int32,
     occlusion marks left pixels with no correspondence in the right view.
+
+    Each view is a z-buffer pass, which resolves the surface every pixel
+    shows (the nearest; on equal depths the earlier one), followed by one
+    texture evaluation per pixel, with that surface's parameters. A
+    surface's texture is never evaluated where another one covers it.
     """
     h, w = spec.height, spec.width
-    rr, cc = np.meshgrid(np.arange(h, dtype=np.float64),
-                         np.arange(w, dtype=np.float64), indexing="ij")
 
     # surfaces ordered background first, then objects; nearest depth wins
     surfaces = [(spec.background_depth, spec.background_class,
@@ -169,47 +197,44 @@ def render(spec: SceneSpec):
     for obj in spec.objects:
         surfaces.append((obj.depth, obj.class_id, obj.texture_seed, obj))
 
+    rows = np.arange(h, dtype=np.float64)[:, None]
+    cols = np.arange(w, dtype=np.float64)[None, :]
+    # a seed and the same seed modulo 2**64 hash alike
+    seeds = np.array([int(seed) % 2 ** 64 for _, _, seed, _ in surfaces],
+                     dtype=np.uint64)
+
     def render_view(view_shift_disp: bool):
-        depth = np.full((h, w), np.inf)
+        # the background covers every pixel; objects lie strictly nearer
+        depth = np.full((h, w), spec.background_depth, dtype=np.float64)
         seg = np.full((h, w), spec.background_class, dtype=np.int32)
-        img = np.zeros((h, w))
-        for idx, (d, cls, seed, obj) in enumerate(surfaces):
-            disp = spec.disparity(d) if view_shift_disp else 0.0
-            if obj is None:
-                mask = np.ones((h, w), dtype=bool)
-            else:
-                mask = obj.mask(h, w, col_shift=disp)
+        owner = np.zeros((h, w), dtype=np.int64)
+        disps = np.array([spec.disparity(d) if view_shift_disp else 0.0
+                          for d, _, _, _ in surfaces])
+        for idx, (d, cls, _, obj) in enumerate(surfaces[1:], 1):
+            mask = obj.mask(h, w, col_shift=disps[idx])
             mask &= d < depth
             depth[mask] = d
             seg[mask] = cls
-            # texture lives on the surface: right-view content at column c
-            # equals left-view content at column c + disparity
-            tex = surface_texture(rr, cc + disp, idx, seed)
-            img[mask] = tex[mask]
-        return img, depth, seg
+            owner[mask] = idx
+        # each pixel's texture is evaluated once, with the parameters of the
+        # surface it shows. Texture lives on the surface: right-view content
+        # at column c equals left-view content at column c + disparity
+        img = surface_texture(rows, cols + disps[owner], owner, seeds[owner])
+        return img.astype(np.float32), depth, seg
 
     img_left, depth_left, seg_left = render_view(False)
-    img_right, depth_right, _ = render_view(True)
+    img_right, _, _ = render_view(True)
 
     # a left pixel is occluded when its right-view position is out of frame
     # or covered by a strictly nearer surface there
-    right_col = cc - spec.camera.fx * spec.baseline / depth_left
+    right_col = cols - spec.camera.fx * spec.baseline / depth_left
     occluded = (right_col < 0) | (right_col > w - 1)
     for d, _, _, obj in surfaces[1:]:
-        disp = spec.disparity(d)
         # object's right-view footprint contains column c iff (c + disp) is
         # inside its left-view region
-        if obj.shape == "rect":
-            r0, c0, r1, c1 = obj.params
-            inside = ((rr >= r0) & (rr < r1)
-                      & (right_col + disp >= c0) & (right_col + disp < c1))
-        else:
-            cr, ccen, rad = obj.params
-            inside = ((rr - cr) ** 2 + (right_col + disp - ccen) ** 2
-                      <= rad ** 2)
+        inside = obj._contains(rows, right_col + spec.disparity(d))
         occluded |= inside & (d < depth_left)
-    return (img_left.astype(np.float32), img_right.astype(np.float32),
-            depth_left, seg_left, occluded)
+    return img_left, img_right, depth_left, seg_left, occluded
 
 
 def intensity_segmenter(levels: int = 64):
@@ -273,14 +298,25 @@ def parse_scene_config(path) -> SceneConfig:
     seg_flip_rate, seed, and repeated lines
     ``object=rect,r0,c0,r1,c1,depth,class,seed`` or
     ``object=disk,cr,cc,radius,depth,class,seed``.
+    Every value must be a finite number.
     """
+    def number(lineno: int, text: str) -> float:
+        try:
+            x = float(text)
+        except ValueError:
+            raise SynthError(f"{path}:{lineno}: {text!r} is not a number") \
+                from None
+        if not math.isfinite(x):
+            raise SynthError(f"{path}:{lineno}: {text!r} is not finite")
+        return x
+
     values: dict[str, float] = {}
     objects: list[ObjectSpec] = []
     for lineno, key, value in _key_values(path, SynthError):
         if key == "object":
             parts = [p.strip() for p in value.split(",")]
             shape = parts[0]
-            nums = [float(p) for p in parts[1:]]
+            nums = [number(lineno, p) for p in parts[1:]]
             if shape == "rect" and len(nums) == 7:
                 objects.append(ObjectSpec("rect", tuple(nums[:4]), nums[4],
                                           int(nums[5]), int(nums[6])))
@@ -290,7 +326,7 @@ def parse_scene_config(path) -> SceneConfig:
             else:
                 raise SynthError(f"{path}:{lineno}: malformed object")
         else:
-            values[key] = float(value)
+            values[key] = number(lineno, value)
     try:
         scene = SceneSpec(
             height=int(values.pop("height")),

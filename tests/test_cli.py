@@ -55,6 +55,21 @@ def test_synth_writes_artifacts(tmp_path):
     assert depth.data.shape == (64, 128, 1)
 
 
+@pytest.mark.parametrize("old, new", [
+    ("baseline=0.4", "baseline=nan"),
+    ("object=rect,20,50,44,74,2.0,1,5", "object=rect,20,50,44,74,nan,1,5"),
+    ("background_depth=10", "background_depth=inf"),
+    ("object=rect,20,50,44,74,2.0,1,5", "object=rect,20,nan,44,74,2.0,1,5"),
+])
+def test_synth_nonfinite_scene_exit_code_2(tmp_path, capsys, old, new):
+    cfg = tmp_path / "scene.cfg"
+    cfg.write_text(SCENE_CFG.replace(old, new))
+    assert run(["synth", "--config", str(cfg),
+                "--out-prefix", str(tmp_path / "s")]) == 2
+    assert "not finite" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
 def test_synth_idempotent(tmp_path):
     prefix = write_scene(tmp_path)
     first = (str(prefix) + "_left.stn", )

@@ -12,9 +12,24 @@ def test_camera_rejects_nonpositive_focal():
         Camera(0.0, 1.0, 0.0, 0.0)
 
 
+@pytest.mark.parametrize("values", [
+    (float("inf"), 1.0, 0.0, 0.0), (1.0, float("nan"), 0.0, 0.0),
+    (1.0, 1.0, float("nan"), 0.0), (1.0, 1.0, 0.0, float("-inf")),
+])
+def test_camera_rejects_nonfinite_intrinsics(values):
+    with pytest.raises(GeometryError):
+        Camera(*values)
+
+
 def test_pose_rejects_non_orthonormal_rotation():
     with pytest.raises(GeometryError):
         Pose(np.eye(3) * 2.0, np.zeros(3))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_pose_rejects_nonfinite_translation(bad):
+    with pytest.raises(GeometryError):
+        Pose(np.eye(3), np.array([bad, 0.0, 0.0]))
 
 
 def test_pose_rejects_reflection():
@@ -42,6 +57,14 @@ def test_load_camera_pose(tmp_path):
     cam, pose = geometry.load_camera_pose(path)
     assert cam == Camera(100.0, 100.0, 32.0, 24.0)
     assert np.allclose(pose.translation, [-0.5, 0, 0])
+
+
+@pytest.mark.parametrize("first_line", ["100 100 32 abc", "100 100 32 nan"])
+def test_load_camera_pose_rejects_bad_numbers(tmp_path, first_line):
+    path = tmp_path / "cam.txt"
+    path.write_text(first_line + "\n1 0 0 -0.5\n0 1 0 0\n0 0 1 0\n")
+    with pytest.raises(GeometryError):
+        geometry.load_camera_pose(path)
 
 
 def test_identity_projection_is_pixel_grid():

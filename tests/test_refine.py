@@ -24,6 +24,15 @@ def test_config_max_iterations_validation():
             RefineConfig(max_iterations=bad)
 
 
+def test_config_neighborhood_radius_validation():
+    for radius in (1, 3, np.int64(2)):
+        assert RefineConfig(neighborhood_radius=radius).neighborhood_radius \
+            == radius
+    for bad in (0, -1, 1.5, 2.0, True, "2"):
+        with pytest.raises(RefineError):
+            RefineConfig(neighborhood_radius=bad)
+
+
 def test_split_by_agreement():
     y = np.array([[1, 2], [3, 3]])
     y_hat = np.array([[1, 0], [3, 1]])
