@@ -225,6 +225,8 @@ def output_shapes(tables: DecoderTables, level: str, encoder: str,
     if level not in tables.levels:
         raise ArchError(f"unknown sharing level {level!r}")
     h, w = input_hw
+    if h <= 0 or w <= 0:
+        raise ArchError("input height and width must be positive")
     if h % 32 or w % 32:
         raise ArchError("input height and width must be divisible by 32")
     channels = _channel_map(tables, encoder)

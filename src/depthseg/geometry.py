@@ -136,6 +136,23 @@ def _key_values(path, error: type[Exception]):
         yield lineno, key, value
 
 
+def _number(path, lineno: int, text: str, error: type[Exception],
+            integer: bool = False) -> float | int:
+    """The finite number a ``key=value`` line holds, or an int when
+    ``integer``. Anything else raises ``error`` with ``path:lineno``."""
+    try:
+        x = float(text)
+    except ValueError:
+        raise error(f"{path}:{lineno}: {text!r} is not a number") from None
+    if not math.isfinite(x):
+        raise error(f"{path}:{lineno}: {text!r} is not finite")
+    if integer:
+        if not x.is_integer():
+            raise error(f"{path}:{lineno}: {text!r} is not an integer")
+        return int(x)
+    return x
+
+
 def load_camera_pose(path) -> tuple[Camera, Pose]:
     """Read ``fx fy cx cy`` followed by 12 numbers (row-major R | t)."""
     with open(path) as f:
@@ -151,9 +168,10 @@ def load_camera_pose(path) -> tuple[Camera, Pose]:
     return cam, Pose(rt[:, :3], rt[:, 3])
 
 
-def project(depth: np.ndarray, pose: Pose, cam: Camera,
-            cam_src: Camera | None = None) -> tuple[np.ndarray, np.ndarray]:
+def project(depth: np.ndarray, pose: Pose,
+            cam: Camera) -> tuple[np.ndarray, np.ndarray]:
     """Project every target pixel through its depth into the source view.
+    Both views have the intrinsics ``cam``.
 
     Returns (coords, valid): coords is (H, W, 2) with (u, v) sample positions
     in the source image; valid is False where the projected depth is
@@ -165,8 +183,6 @@ def project(depth: np.ndarray, pose: Pose, cam: Camera,
     if (depth.size == 0 or not np.all(np.isfinite(depth))
             or depth.min() <= 0):
         raise GeometryError("depth must be finite and positive everywhere")
-    if cam_src is None:
-        cam_src = cam
     h, w = depth.shape
     vv, uu = np.meshgrid(np.arange(h, dtype=np.float64),
                          np.arange(w, dtype=np.float64), indexing="ij")
@@ -177,8 +193,8 @@ def project(depth: np.ndarray, pose: Pose, cam: Camera,
     z = pts_src[..., 2]
     valid = z > 1e-9
     z_safe = np.where(valid, z, 1.0)
-    u_s = cam_src.fx * pts_src[..., 0] / z_safe + cam_src.cx
-    v_s = cam_src.fy * pts_src[..., 1] / z_safe + cam_src.cy
+    u_s = cam.fx * pts_src[..., 0] / z_safe + cam.cx
+    v_s = cam.fy * pts_src[..., 1] / z_safe + cam.cy
     in_frame = (u_s >= 0) & (u_s <= w - 1) & (v_s >= 0) & (v_s <= h - 1)
     valid &= in_frame
     coords = np.stack([np.where(valid, u_s, 0.0), np.where(valid, v_s, 0.0)],
@@ -218,10 +234,9 @@ def bilinear_sample(src: np.ndarray,
 
 
 def warp(src_img: np.ndarray, target_depth: np.ndarray, pose: Pose,
-         cam: Camera, cam_src: Camera | None = None
-         ) -> tuple[np.ndarray, np.ndarray]:
+         cam: Camera) -> tuple[np.ndarray, np.ndarray]:
     """Warp the source image into the target view using the target depth."""
-    coords, proj_valid = project(target_depth, pose, cam, cam_src)
+    coords, proj_valid = project(target_depth, pose, cam)
     out, sample_valid = bilinear_sample(src_img, coords)
     valid = proj_valid & sample_valid
     if out.ndim == 2:

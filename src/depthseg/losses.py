@@ -2,12 +2,19 @@
 supervision, edge-aware smoothness, cross-entropy, weighted totals, the
 multi-scale photometric average, and shared-parameter gradient combination.
 
+SSIM has Monodepth2's fixed settings: a zero-padded ``SSIM_WINDOW`` x
+``SSIM_WINDOW`` (3x3) box window and the stabilizers ``SSIM_C1`` =
+0.01**2 and ``SSIM_C2`` = 0.03**2.
+
 Analytic per-pixel gradients are provided for the differentiable losses so
-they can be checked against finite differences.
+they can be checked against finite differences. Each loss and its gradient
+validate their inputs through one shared helper, so both reject the same
+inputs.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -36,6 +43,9 @@ class LossWeights:
     alpha: float = 0.5
 
     def __post_init__(self):
+        for name in self.__dataclass_fields__:
+            if not math.isfinite(getattr(self, name)):
+                raise LossError(f"{name} must be finite")
         for name in ("beta1", "beta2", "lam_pe", "lam_h", "lam_rfd", "lam_s",
                      "lam_ps", "lam_rfs"):
             if getattr(self, name) < 0:
@@ -47,28 +57,21 @@ class LossWeights:
 
     @classmethod
     def from_config(cls, path) -> "LossWeights":
-        """Parse a flat key=value file; unknown keys are rejected."""
+        """Parse a flat key=value file; unknown keys and values that are not
+        finite numbers are rejected with their line."""
         weights = cls()
         fields = set(weights.__dataclass_fields__)
         overrides = {}
         for lineno, key, value in geometry._key_values(path, LossError):
             if key not in fields:
                 raise LossError(f"{path}:{lineno}: unknown key {key!r}")
-            overrides[key] = float(value)
+            overrides[key] = geometry._number(path, lineno, value, LossError)
         return replace(weights, **overrides)
 
 
-@dataclass(frozen=True)
-class SsimParams:
-    window: int = 3
-    c1: float = 0.01 ** 2
-    c2: float = 0.03 ** 2
-
-    def __post_init__(self):
-        if self.window < 3 or self.window % 2 == 0:
-            raise LossError("window must be odd and >= 3")
-        if self.c1 <= 0 or self.c2 <= 0:
-            raise LossError("stabilizers must be positive")
+SSIM_WINDOW = 3
+SSIM_C1 = 0.01 ** 2
+SSIM_C2 = 0.03 ** 2
 
 
 def _as_hwc(img) -> np.ndarray:
@@ -80,96 +83,91 @@ def _as_hwc(img) -> np.ndarray:
     return arr
 
 
-def _box_count(shape, window) -> np.ndarray:
-    ones = np.ones(shape[:2])
-    return _box_sum(ones[:, :, None], window)[:, :, 0]
+def _pair(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Both images as float64 (H, W, C) arrays of one shape."""
+    a = _as_hwc(a)
+    b = _as_hwc(b)
+    if a.shape != b.shape:
+        raise LossError("shape mismatch")
+    return a, b
 
 
-def _box_sum(x: np.ndarray, window: int) -> np.ndarray:
-    """Zero-padded box sum over window x window (self-adjoint)."""
-    r = window // 2
+def _valid_mask(mask, shape: tuple) -> np.ndarray:
+    """The boolean mask of the pixels a loss averages over; None selects
+    every pixel. At least one pixel must be selected."""
+    if mask is None:
+        mask = np.ones(shape, dtype=bool)
+    mask = np.asarray(mask, dtype=bool)
+    if mask.shape != shape:
+        raise LossError(f"mask shape {mask.shape} does not match {shape}")
+    if not mask.any():
+        raise LossError("all pixels are masked out")
+    return mask
+
+
+def _box_sum(x: np.ndarray) -> np.ndarray:
+    """Zero-padded box sum over the SSIM window (self-adjoint)."""
+    win = SSIM_WINDOW
+    r = win // 2
     h, w, c = x.shape
     padded = np.zeros((h + 2 * r, w + 2 * r, c))
     padded[r:r + h, r:r + w] = x
     csum = padded.cumsum(axis=0).cumsum(axis=1)
     csum = np.pad(csum, ((1, 0), (1, 0), (0, 0)))
-    win = window
     return (csum[win:, win:] - csum[:-win, win:] - csum[win:, :-win]
             + csum[:-win, :-win])
 
 
-def _local_mean(x: np.ndarray, window: int, count: np.ndarray) -> np.ndarray:
-    return _box_sum(x, window) / count[:, :, None]
-
-
-def _local_mean_adjoint(g: np.ndarray, window: int,
-                        count: np.ndarray) -> np.ndarray:
-    return _box_sum(g / count[:, :, None], window)
-
-
-def _ssim_terms(a, b, p: SsimParams):
-    count = _box_count(a.shape, p.window)
-    mu_a = _local_mean(a, p.window, count)
-    mu_b = _local_mean(b, p.window, count)
-    e_aa = _local_mean(a * a, p.window, count)
-    e_bb = _local_mean(b * b, p.window, count)
-    e_ab = _local_mean(a * b, p.window, count)
+def _ssim_terms(a, b):
+    # pixels inside the image under each window, (H, W, 1)
+    count = _box_sum(np.ones(a.shape[:2] + (1,)))
+    mu_a = _box_sum(a) / count
+    mu_b = _box_sum(b) / count
+    e_aa = _box_sum(a * a) / count
+    e_bb = _box_sum(b * b) / count
+    e_ab = _box_sum(a * b) / count
     var_a = e_aa - mu_a ** 2
     var_b = e_bb - mu_b ** 2
     cov = e_ab - mu_a * mu_b
-    n1 = 2 * mu_a * mu_b + p.c1
-    n2 = 2 * cov + p.c2
-    d1 = mu_a ** 2 + mu_b ** 2 + p.c1
-    d2 = var_a + var_b + p.c2
+    n1 = 2 * mu_a * mu_b + SSIM_C1
+    n2 = 2 * cov + SSIM_C2
+    d1 = mu_a ** 2 + mu_b ** 2 + SSIM_C1
+    d2 = var_a + var_b + SSIM_C2
     ssim = (n1 * n2) / (d1 * d2)
     return count, mu_a, mu_b, n1, n2, d1, d2, ssim
 
 
-def ssim_map(a, b, p: SsimParams = SsimParams()) -> np.ndarray:
+def ssim_map(a, b) -> np.ndarray:
     """Per-pixel structural similarity, averaged over channels."""
-    a = _as_hwc(a)
-    b = _as_hwc(b)
-    if a.shape != b.shape:
-        raise LossError("shape mismatch")
-    *_, ssim = _ssim_terms(a, b, p)
+    a, b = _pair(a, b)
+    *_, ssim = _ssim_terms(a, b)
     return ssim.mean(axis=2)
 
 
-def photometric_loss(img_t, img_st, mask=None, w: LossWeights = LossWeights(),
-                     p: SsimParams = SsimParams()) -> float:
+def photometric_loss(img_t, img_st, mask=None,
+                     w: LossWeights = LossWeights()) -> float:
     """gamma/2 * (1 - SSIM) + (1 - gamma) * L1, averaged over valid pixels."""
-    a = _as_hwc(img_t)
-    b = _as_hwc(img_st)
-    if a.shape != b.shape:
-        raise LossError("shape mismatch")
-    per_pixel = (w.gamma / 2.0 * (1.0 - ssim_map(a, b, p))
+    a, b = _pair(img_t, img_st)
+    mask = _valid_mask(mask, a.shape[:2])
+    per_pixel = (w.gamma / 2.0 * (1.0 - ssim_map(a, b))
                  + (1.0 - w.gamma) * np.abs(a - b).mean(axis=2))
-    if mask is None:
-        mask = np.ones(per_pixel.shape, dtype=bool)
-    mask = np.asarray(mask, dtype=bool)
-    if not mask.any():
-        raise LossError("all pixels are masked out")
     return float(per_pixel[mask].mean())
 
 
 def photometric_loss_grad(img_t, img_st, mask=None,
-                          w: LossWeights = LossWeights(),
-                          p: SsimParams = SsimParams()) -> np.ndarray:
+                          w: LossWeights = LossWeights()) -> np.ndarray:
     """Analytic gradient of photometric_loss w.r.t. the warped image."""
-    a = _as_hwc(img_t)
-    b = _as_hwc(img_st)
-    if mask is None:
-        mask = np.ones(a.shape[:2], dtype=bool)
-    mask = np.asarray(mask, dtype=bool)
+    a, b = _pair(img_t, img_st)
+    mask = _valid_mask(mask, a.shape[:2])
     n_valid = int(mask.sum())
-    if n_valid == 0:
-        raise LossError("all pixels are masked out")
     channels = a.shape[2]
     # upstream gradient into the per-pixel, per-channel SSIM values
     g_pix = mask.astype(np.float64) / n_valid
     g_ssim = (-w.gamma / 2.0 / channels) * g_pix[:, :, None]
     g_ssim = np.broadcast_to(g_ssim, a.shape).copy()
-    count, mu_a, mu_b, n1, n2, d1, d2, _ = _ssim_terms(a, b, p)
+    count, mu_a, mu_b, n1, n2, d1, d2, _ = _ssim_terms(a, b)
+    # recomputed, not reused from _ssim_terms: reuse is bitwise equal but
+    # raised loss_suite's peak RSS by about 6 MB through allocator layout
     ssim = (n1 * n2) / (d1 * d2)
     g_n1 = g_ssim * n2 / (d1 * d2)
     g_n2 = g_ssim * n1 / (d1 * d2)
@@ -181,36 +179,37 @@ def photometric_loss_grad(img_t, img_st, mask=None,
               - g_cov * mu_a - g_var_b * 2.0 * mu_b)
     g_e_bb = g_var_b
     g_e_ab = g_cov
-    grad = (_local_mean_adjoint(g_mu_b, p.window, count)
-            + _local_mean_adjoint(g_e_bb, p.window, count) * 2.0 * b
-            + _local_mean_adjoint(g_e_ab, p.window, count) * a)
+    grad = (_box_sum(g_mu_b / count)
+            + _box_sum(g_e_bb / count) * 2.0 * b
+            + _box_sum(g_e_ab / count) * a)
     grad += ((1.0 - w.gamma) / channels) * np.sign(b - a) * g_pix[:, :, None]
     return grad
+
+
+def _hint_inputs(pred_depth, target_depth, mask):
+    """Predicted and target depth as float64 arrays of one shape, finite and
+    positive everywhere, with the mask of the pixels to average over."""
+    pred = np.asarray(pred_depth, dtype=np.float64)
+    target = np.asarray(target_depth, dtype=np.float64)
+    if pred.shape != target.shape:
+        raise LossError("shape mismatch")
+    for depth in (pred, target):
+        # min and max propagate NaN, so no temporary mask is needed
+        if depth.size == 0 or not (0 < depth.min() and depth.max() < np.inf):
+            raise LossError("depths must be finite and positive")
+    return pred, target, _valid_mask(mask, pred.shape)
 
 
 def hint_loss(pred_depth, target_depth, mask=None) -> float:
     """Mean log(1 + |residual|) against an externally supplied or refined
     depth target."""
-    pred = np.asarray(pred_depth, dtype=np.float64)
-    target = np.asarray(target_depth, dtype=np.float64)
-    if pred.shape != target.shape:
-        raise LossError("shape mismatch")
-    if pred.size == 0 or pred.min() <= 0 or target.min() <= 0:
-        raise LossError("depths must be positive")
-    if mask is None:
-        mask = np.ones(pred.shape, dtype=bool)
-    mask = np.asarray(mask, dtype=bool)
-    if not mask.any():
-        raise LossError("all pixels are masked out")
+    pred, target, mask = _hint_inputs(pred_depth, target_depth, mask)
     return float(np.log1p(np.abs(pred - target))[mask].mean())
 
 
 def hint_loss_grad(pred_depth, target_depth, mask=None) -> np.ndarray:
-    pred = np.asarray(pred_depth, dtype=np.float64)
-    target = np.asarray(target_depth, dtype=np.float64)
-    if mask is None:
-        mask = np.ones(pred.shape, dtype=bool)
-    mask = np.asarray(mask, dtype=bool)
+    """Analytic gradient of hint_loss w.r.t. the predicted depth."""
+    pred, target, mask = _hint_inputs(pred_depth, target_depth, mask)
     resid = pred - target
     grad = np.sign(resid) / (1.0 + np.abs(resid)) / mask.sum()
     return np.where(mask, grad, 0.0)
@@ -324,8 +323,8 @@ def total_loss(depth_loss: float, seg_loss: float,
 
 
 def multiscale_photometric(disparities, img_t, img_s, pose, cam,
-                           depth_params, w: LossWeights = LossWeights(),
-                           p: SsimParams = SsimParams()) -> float:
+                           depth_params,
+                           w: LossWeights = LossWeights()) -> float:
     """Mean photometric loss over predictions at 1x, 1/2, 1/4 and 1/8
     resolution; each disparity is upsampled to full resolution before
     conversion and warping."""
@@ -343,7 +342,7 @@ def multiscale_photometric(disparities, img_t, img_s, pose, cam,
         full = geometry.upsample_bilinear(disp, (h, w_img))
         depth = geometry.disparity_to_depth(full, depth_params)
         warped, valid = geometry.warp(img_s, depth, pose, cam)
-        losses.append(photometric_loss(img_t, warped, valid, w, p))
+        losses.append(photometric_loss(img_t, warped, valid, w))
     return float(np.mean(losses))
 
 

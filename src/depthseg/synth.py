@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Camera, _key_values, _neighbor_views
+from .geometry import Camera, _key_values, _neighbor_views, _number
 
 
 class SynthError(ValueError):
@@ -259,6 +259,9 @@ def corrupt(gt_depth: np.ndarray, gt_seg: np.ndarray,
     seg = np.asarray(gt_seg, dtype=np.int32).copy()
     if depth.shape != seg.shape:
         raise SynthError("shape mismatch")
+    # min and max propagate NaN, so no temporary mask is needed
+    if depth.size == 0 or not np.isfinite([depth.min(), depth.max()]).all():
+        raise SynthError("depth must be non-empty and finite")
     background = depth.max()
     fg = depth < background
     for _ in range(cspec.bleed_width):
@@ -290,6 +293,10 @@ class SceneConfig:
     corruption: CorruptionSpec = field(default_factory=CorruptionSpec)
 
 
+_INTEGER_KEYS = frozenset({"height", "width", "background_class",
+                           "background_texture_seed", "bleed_width", "seed"})
+
+
 def parse_scene_config(path) -> SceneConfig:
     """Read a scene description.
 
@@ -298,54 +305,44 @@ def parse_scene_config(path) -> SceneConfig:
     seg_flip_rate, seed, and repeated lines
     ``object=rect,r0,c0,r1,c1,depth,class,seed`` or
     ``object=disk,cr,cc,radius,depth,class,seed``.
-    Every value must be a finite number.
+    Every value must be a finite number, and an integer for the size, class,
+    seed and bleed_width keys.
     """
-    def number(lineno: int, text: str) -> float:
-        try:
-            x = float(text)
-        except ValueError:
-            raise SynthError(f"{path}:{lineno}: {text!r} is not a number") \
-                from None
-        if not math.isfinite(x):
-            raise SynthError(f"{path}:{lineno}: {text!r} is not finite")
-        return x
-
-    values: dict[str, float] = {}
+    values: dict[str, float | int] = {}
     objects: list[ObjectSpec] = []
     for lineno, key, value in _key_values(path, SynthError):
         if key == "object":
-            parts = [p.strip() for p in value.split(",")]
-            shape = parts[0]
-            nums = [number(lineno, p) for p in parts[1:]]
-            if shape == "rect" and len(nums) == 7:
-                objects.append(ObjectSpec("rect", tuple(nums[:4]), nums[4],
-                                          int(nums[5]), int(nums[6])))
-            elif shape == "disk" and len(nums) == 6:
-                objects.append(ObjectSpec("disk", tuple(nums[:3]), nums[3],
-                                          int(nums[4]), int(nums[5])))
-            else:
+            shape, *fields = (p.strip() for p in value.split(","))
+            n_params = {"rect": 4, "disk": 3}.get(shape)
+            if n_params is None or len(fields) != n_params + 3:
                 raise SynthError(f"{path}:{lineno}: malformed object")
+            *params, depth = (_number(path, lineno, p, SynthError)
+                              for p in fields[:-2])
+            class_id, seed = (_number(path, lineno, p, SynthError, True)
+                              for p in fields[-2:])
+            objects.append(ObjectSpec(shape, tuple(params), depth, class_id,
+                                      seed))
         else:
-            values[key] = number(lineno, value)
+            values[key] = _number(path, lineno, value, SynthError,
+                                  key in _INTEGER_KEYS)
     try:
         scene = SceneSpec(
-            height=int(values.pop("height")),
-            width=int(values.pop("width")),
+            height=values.pop("height"),
+            width=values.pop("width"),
             camera=Camera(values.pop("fx"), values.pop("fy"),
                           values.pop("cx"), values.pop("cy")),
             baseline=values.pop("baseline"),
             background_depth=values.pop("background_depth"),
             objects=tuple(objects),
-            background_class=int(values.pop("background_class", 0)),
-            background_texture_seed=int(values.pop("background_texture_seed",
-                                                   0)),
+            background_class=values.pop("background_class", 0),
+            background_texture_seed=values.pop("background_texture_seed", 0),
         )
     except KeyError as e:
         raise SynthError(f"{path}: missing key {e.args[0]}") from None
     corruption = CorruptionSpec(
-        bleed_width=int(values.pop("bleed_width", 0)),
+        bleed_width=values.pop("bleed_width", 0),
         seg_flip_rate=values.pop("seg_flip_rate", 0.0),
-        seed=int(values.pop("seed", 0)),
+        seed=values.pop("seed", 0),
     )
     if values:
         raise SynthError(f"{path}: unknown keys {sorted(values)}")

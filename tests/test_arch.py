@@ -87,6 +87,12 @@ def test_output_shapes_reject_non_multiple_of_32(tables):
         arch.output_shapes(tables, "l0", "resnet18", (100, 640))
 
 
+@pytest.mark.parametrize("size", [(-32, 64), (0, 640), (192, -64), (0, 0)])
+def test_output_shapes_reject_nonpositive_size(tables, size):
+    with pytest.raises(ArchError, match="must be positive"):
+        arch.output_shapes(tables, "l4", "resnet18", size)
+
+
 def test_report_mentions_totals(tables):
     text = arch.report(tables, "l2", "resnet50")
     assert "seg-specific params" in text

@@ -70,6 +70,22 @@ def test_synth_nonfinite_scene_exit_code_2(tmp_path, capsys, old, new):
     assert list(tmp_path.iterdir()) == [cfg]
 
 
+@pytest.mark.parametrize("old, new", [
+    ("height=64", "height=16.7"),
+    ("width=128", "width=127.5"),
+    ("object=rect,20,50,44,74,2.0,1,5", "object=rect,20,50,44,74,2.0,1.9,5"),
+    ("object=rect,20,50,44,74,2.0,1,5", "object=rect,20,50,44,74,2.0,1,5.5"),
+    ("bleed_width=4", "bleed_width=2.5"),
+])
+def test_synth_fractional_integer_exit_code_2(tmp_path, capsys, old, new):
+    cfg = tmp_path / "scene.cfg"
+    cfg.write_text(SCENE_CFG.replace(old, new))
+    assert run(["synth", "--config", str(cfg),
+                "--out-prefix", str(tmp_path / "s")]) == 2
+    assert "is not an integer" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
 def test_synth_idempotent(tmp_path):
     prefix = write_scene(tmp_path)
     first = (str(prefix) + "_left.stn", )
@@ -167,6 +183,19 @@ def test_loss_command_prints_value(tmp_path, capsys):
     assert float(out.split()[-1]) == pytest.approx(0.5)
 
 
+def test_loss_hint_nonfinite_depth_exit_code_2(tmp_path, capsys):
+    pred = np.full((4, 4), 5.0, dtype=np.float32)
+    pred[1, 2] = np.nan
+    target = np.full((4, 4), 5.0, dtype=np.float32)
+    tensorio.save_tensor(Tensor2D(pred), tmp_path / "p.stn")
+    tensorio.save_tensor(Tensor2D(target), tmp_path / "t.stn")
+    assert run(["loss", "hint", "--a", str(tmp_path / "p.stn"),
+                "--b", str(tmp_path / "t.stn")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "finite" in captured.err
+
+
 def test_eval_command_csv(tmp_path, capsys):
     pred = np.array([[11.0, 18.0]], dtype=np.float32)
     gt = np.array([[10.0, 20.0]], dtype=np.float32)
@@ -210,6 +239,14 @@ def test_arch_command(capsys):
                 "--classes", "19"]) == 0
     out = capsys.readouterr().out
     assert "seg-specific params" in out
+
+
+@pytest.mark.parametrize("height, width", [(-32, 64), (0, 64), (64, -32)])
+def test_arch_nonpositive_size_exit_code_2(capsys, height, width):
+    assert run(["arch", "--height", str(height), "--width", str(width)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be positive" in captured.err
 
 
 def test_corrupt_data_exit_code_2(tmp_path, capsys):

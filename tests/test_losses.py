@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from depthseg import geometry, losses
-from depthseg.losses import (LossError, LossWeights, SsimParams,
+from depthseg.losses import (SSIM_C1, SSIM_C2, LossError, LossWeights,
                              combine_shared_gradients, cross_entropy,
                              cross_entropy_grad, hint_loss, hint_loss_grad,
                              multiscale_photometric, photometric_loss,
@@ -44,6 +44,25 @@ def test_weights_from_config_rejects_unknown_key(tmp_path):
         LossWeights.from_config(path)
 
 
+@pytest.mark.parametrize("field", ["lam_h", "gamma", "alpha", "beta1"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_weights_reject_nonfinite(field, value):
+    with pytest.raises(LossError, match=f"{field} must be finite"):
+        LossWeights(**{field: value})
+
+
+@pytest.mark.parametrize("text, error", [
+    ("lam_h=nan", "'nan' is not finite"),
+    ("lam_s=-inf", "'-inf' is not finite"),
+    ("gamma=abc", "'abc' is not a number"),
+])
+def test_weights_from_config_rejects_bad_numbers(tmp_path, text, error):
+    path = tmp_path / "weights.cfg"
+    path.write_text("alpha=0.25\n" + text + "\n")
+    with pytest.raises(LossError, match=f"weights.cfg:2: {error}"):
+        LossWeights.from_config(path)
+
+
 def test_ssim_identical_images_is_one():
     rng = np.random.default_rng(0)
     img = rng.random((8, 8, 3))
@@ -55,9 +74,8 @@ def test_ssim_constant_vs_shifted_constant():
     # closed form: means differ by 1, variances are 0
     a = np.zeros((6, 6))
     b = np.ones((6, 6))
-    p = SsimParams()
-    expected = (2 * 0 * 1 + p.c1) * p.c2 / ((0 + 1 + p.c1) * p.c2)
-    s = ssim_map(a, b, p)
+    expected = (2 * 0 * 1 + SSIM_C1) * SSIM_C2 / ((0 + 1 + SSIM_C1) * SSIM_C2)
+    s = ssim_map(a, b)
     assert np.allclose(s, expected, atol=1e-12)
 
 
@@ -101,6 +119,37 @@ def test_photometric_gradient(gamma):
     grad = photometric_loss_grad(a, b, w=w)
     num = finite_difference(lambda x: photometric_loss(a, x, w=w), b)
     assert rel_error(grad, num) < 1e-4
+
+
+@pytest.mark.parametrize("fn", [photometric_loss, photometric_loss_grad])
+@pytest.mark.parametrize("b_shape, mask, error", [
+    ((4, 5), None, "shape mismatch"),
+    ((4, 4), np.ones((4, 5), bool), "mask shape"),
+    ((4, 4), np.ones((4, 4, 1), bool), "mask shape"),
+    ((4, 4), np.zeros((4, 4), bool), "masked out"),
+])
+def test_photometric_loss_and_grad_reject_bad_inputs(fn, b_shape, mask,
+                                                     error):
+    rng = np.random.default_rng(4)
+    with pytest.raises(LossError, match=error):
+        fn(rng.random((4, 4)), rng.random(b_shape), mask)
+
+
+@pytest.mark.parametrize("fn", [hint_loss, hint_loss_grad])
+@pytest.mark.parametrize("pred, target, mask, error", [
+    (np.ones((2, 2)), np.ones((2, 3)), None, "shape mismatch"),
+    (np.ones((2, 2)), np.ones((2, 2)), np.ones((3, 2), bool), "mask shape"),
+    (np.ones((2, 2)), np.ones((2, 2)), np.zeros((2, 2), bool), "masked out"),
+    (np.array([[1.0, np.nan]]), np.ones((1, 2)), None, "finite"),
+    (np.ones((1, 2)), np.array([[np.inf, 1.0]]), None, "finite"),
+    (np.array([[-np.inf, 1.0]]), np.ones((1, 2)), None, "finite"),
+    (np.ones((1, 2)), np.array([[1.0, 0.0]]), None, "positive"),
+    (np.array([[-1.0, 1.0]]), np.ones((1, 2)), None, "positive"),
+    (np.ones((0, 2)), np.ones((0, 2)), None, "positive"),
+])
+def test_hint_loss_and_grad_reject_bad_inputs(fn, pred, target, mask, error):
+    with pytest.raises(LossError, match=error):
+        fn(pred, target, mask)
 
 
 def test_hint_loss_log_form():

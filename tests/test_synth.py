@@ -336,3 +336,41 @@ def test_parse_scene_config_rejects_nonfinite_numbers(tmp_path, line):
                     "baseline=1\nbackground_depth=5\n" + line + "\n")
     with pytest.raises(SynthError, match="scene.cfg:9: "):
         parse_scene_config(path)
+
+
+@pytest.mark.parametrize("line", [
+    "height=4.5", "width=3.9", "background_class=1.5",
+    "background_texture_seed=0.1", "bleed_width=2.5", "seed=1e-3",
+    "object=rect,0,0,4,4,2.0,1.9,5", "object=disk,2,2,1,2.0,1,5.5",
+])
+def test_parse_scene_config_rejects_fractional_integers(tmp_path, line):
+    path = tmp_path / "scene.cfg"
+    path.write_text("height=4\nwidth=4\nfx=1\nfy=1\ncx=1\ncy=1\n"
+                    "baseline=1\nbackground_depth=5\n" + line + "\n")
+    with pytest.raises(SynthError, match="scene.cfg:9: .* is not an integer"):
+        parse_scene_config(path)
+
+
+def test_parse_scene_config_accepts_integral_floats(tmp_path):
+    path = tmp_path / "scene.cfg"
+    path.write_text("height=4.0\nwidth=6\nfx=1\nfy=1\ncx=1\ncy=1\n"
+                    "baseline=1\nbackground_depth=5\nbleed_width=2.0\n"
+                    "object=rect,0,0,2,2,2.5,3.0,7\n")
+    cfg = parse_scene_config(path)
+    assert (cfg.scene.height, cfg.scene.width) == (4, 6)
+    assert type(cfg.scene.height) is int
+    assert cfg.corruption.bleed_width == 2
+    obj = cfg.scene.objects[0]
+    assert (obj.class_id, obj.texture_seed, obj.depth) == (3, 7, 2.5)
+
+
+@pytest.mark.parametrize("depth", [
+    np.zeros((0, 3)), np.zeros((3, 0)),
+    np.array([[2.0, np.nan], [5.0, 5.0]]),
+    np.array([[2.0, np.inf], [5.0, 5.0]]),
+    np.array([[2.0, -np.inf], [5.0, 5.0]]),
+])
+def test_corrupt_rejects_empty_or_nonfinite_depth(depth):
+    seg = np.zeros(depth.shape, np.int32)
+    with pytest.raises(SynthError, match="non-empty and finite"):
+        corrupt(depth, seg, CorruptionSpec(bleed_width=1))
