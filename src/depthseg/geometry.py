@@ -5,10 +5,20 @@ All images are numpy arrays of shape (H, W) or (H, W, C); depth maps are
 (H, W) float arrays in meters. Sample-coordinate fields are (H, W, 2) arrays
 holding (u, v) = (column, row) positions into the source image.
 
+Cost model of the warp path. ``project`` back-projects through per-row and
+per-column factors and applies the pose one rotation row at a time, so it
+makes no pixel grid, point cloud or matrix product. ``bilinear_sample``
+gathers the four neighbors of each sample through one flat index into the
+source. ``upsample_bilinear`` is separable: it gathers whole rows, then
+columns, and never builds a coordinate field. Each pixel still gets the
+same arithmetic as the general sampler.
+
 The module also holds private helpers the other modules share: the
 Chebyshev-neighborhood offsets, as flat steps into a padded array for the
 refinement wavefronts and as shifted views for ``synth.corrupt``'s bleed,
-and the ``key=value`` text reader behind the scene and loss-weight files.
+the ``key=value`` text reader behind the scene and loss-weight files, and
+the non-empty, finite (and optionally positive) map check of every array
+entry point.
 """
 
 from __future__ import annotations
@@ -153,6 +163,15 @@ def _number(path, lineno: int, text: str, error: type[Exception],
     return x
 
 
+def _check_map(arr: np.ndarray, error: type[Exception], message: str,
+               low: float = -np.inf):
+    """Raise ``error(message)`` unless ``arr`` is non-empty and every value
+    lies strictly between ``low`` and +inf; ``low=0`` asks for a positive
+    map. min and max propagate NaN, so no temporary mask is made."""
+    if arr.size == 0 or not (low < arr.min() and arr.max() < np.inf):
+        raise error(message)
+
+
 def load_camera_pose(path) -> tuple[Camera, Pose]:
     """Read ``fx fy cx cy`` followed by 12 numbers (row-major R | t)."""
     with open(path) as f:
@@ -180,25 +199,26 @@ def project(depth: np.ndarray, pose: Pose,
     depth = np.asarray(depth, dtype=np.float64)
     if depth.ndim != 2:
         raise GeometryError("depth must be a 2D map")
-    if (depth.size == 0 or not np.all(np.isfinite(depth))
-            or depth.min() <= 0):
-        raise GeometryError("depth must be finite and positive everywhere")
+    _check_map(depth, GeometryError,
+               "depth must be finite and positive everywhere", low=0.0)
     h, w = depth.shape
-    vv, uu = np.meshgrid(np.arange(h, dtype=np.float64),
-                         np.arange(w, dtype=np.float64), indexing="ij")
-    x = (uu - cam.cx) / cam.fx * depth
-    y = (vv - cam.cy) / cam.fy * depth
-    pts = np.stack([x, y, depth], axis=-1)  # (H, W, 3) in target frame
-    pts_src = pts @ pose.rotation.T + pose.translation
-    z = pts_src[..., 2]
+    # target-frame points (x, y, depth): per-column and per-row factors
+    x = ((np.arange(w, dtype=np.float64) - cam.cx) / cam.fx) * depth
+    y = ((np.arange(h, dtype=np.float64) - cam.cy) / cam.fy)[:, None] * depth
+    r, t = pose.rotation, pose.translation
+
+    def source(i):
+        return r[i, 0] * x + r[i, 1] * y + r[i, 2] * depth + t[i]
+
+    z = source(2)
     valid = z > 1e-9
     z_safe = np.where(valid, z, 1.0)
-    u_s = cam.fx * pts_src[..., 0] / z_safe + cam.cx
-    v_s = cam.fy * pts_src[..., 1] / z_safe + cam.cy
-    in_frame = (u_s >= 0) & (u_s <= w - 1) & (v_s >= 0) & (v_s <= h - 1)
-    valid &= in_frame
-    coords = np.stack([np.where(valid, u_s, 0.0), np.where(valid, v_s, 0.0)],
-                      axis=-1)
+    coords = np.zeros((h, w, 2))
+    u_s = cam.fx * source(0) / z_safe + cam.cx
+    v_s = cam.fy * source(1) / z_safe + cam.cy
+    valid &= (u_s >= 0) & (u_s <= w - 1) & (v_s >= 0) & (v_s <= h - 1)
+    np.copyto(coords[..., 0], u_s, where=valid)
+    np.copyto(coords[..., 1], v_s, where=valid)
     return coords, valid
 
 
@@ -212,7 +232,7 @@ def bilinear_sample(src: np.ndarray,
     squeeze = src.ndim == 2
     if squeeze:
         src = src[:, :, None]
-    h, w, _ = src.shape
+    h, w, c = src.shape
     coords = np.asarray(coords, dtype=np.float64)
     u = coords[..., 0]
     v = coords[..., 1]
@@ -221,12 +241,18 @@ def bilinear_sample(src: np.ndarray,
     v = np.where(valid, v, 0.0)
     u0 = np.floor(u).astype(np.intp)
     v0 = np.floor(v).astype(np.intp)
-    u1 = np.minimum(u0 + 1, w - 1)
-    v1 = np.minimum(v0 + 1, h - 1)
     fu = (u - u0)[..., None]
     fv = (v - v0)[..., None]
-    out = (src[v0, u0] * (1 - fu) * (1 - fv) + src[v0, u1] * fu * (1 - fv)
-           + src[v1, u0] * (1 - fu) * fv + src[v1, u1] * fu * fv)
+    # one flat index per sample; the +1 neighbors stay on the last column
+    # and row
+    flat = src.reshape(h * w, c)
+    i00 = v0 * w + u0
+    du = u0 < w - 1
+    dv = (v0 < h - 1) * w
+    out = (flat.take(i00, axis=0) * (1 - fu) * (1 - fv)
+           + flat.take(i00 + du, axis=0) * fu * (1 - fv)
+           + flat.take(i00 + dv, axis=0) * (1 - fu) * fv
+           + flat.take(i00 + du + dv, axis=0) * fu * fv)
     out = np.where(valid[..., None], out, 0.0).astype(np.float32)
     if squeeze:
         out = out[:, :, 0]
@@ -288,7 +314,16 @@ def upsample_bilinear(img: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     h_out, w_out = shape
     v = (np.linspace(0, h_in - 1, h_out) if h_out > 1 else np.zeros(1))
     u = (np.linspace(0, w_in - 1, w_out) if w_out > 1 else np.zeros(1))
-    uu, vv = np.meshgrid(u, v)
-    coords = np.stack([uu, vv], axis=-1)
-    out, _ = bilinear_sample(img, coords)
+    u0 = np.floor(u).astype(np.intp)
+    v0 = np.floor(v).astype(np.intp)
+    u1 = np.minimum(u0 + 1, w_in - 1)
+    v1 = np.minimum(v0 + 1, h_in - 1)
+    fu = (u - u0)[None, :, None]
+    fv = (v - v0)[:, None, None]
+    # the general sampler's formula, with one gather per axis
+    top = img[v0]
+    bottom = img[v1]
+    out = (top[:, u0] * (1 - fu) * (1 - fv) + top[:, u1] * fu * (1 - fv)
+           + bottom[:, u0] * (1 - fu) * fv + bottom[:, u1] * fu * fv)
+    out = out.astype(np.float32)
     return out[:, :, 0] if squeeze else out

@@ -10,6 +10,12 @@ Analytic per-pixel gradients are provided for the differentiable losses so
 they can be checked against finite differences. Each loss and its gradient
 validate their inputs through one shared helper, so both reject the same
 inputs.
+
+Cost model. An SSIM box sum is O(HW) direct adds: a zero-padded 3-tap sum
+down the rows, then along the columns, each added in place, and the window
+pixel counts come in closed form. Cross-entropy with integer labels reads
+and writes only each pixel's labelled probability, one gather of H*W
+entries, not an (H, W, K) one-hot map.
 """
 
 from __future__ import annotations
@@ -75,11 +81,13 @@ SSIM_C2 = 0.03 ** 2
 
 
 def _as_hwc(img) -> np.ndarray:
+    """The image as a non-empty, finite float64 (H, W, C) array."""
     arr = np.asarray(img, dtype=np.float64)
     if arr.ndim == 2:
         arr = arr[:, :, None]
     if arr.ndim != 3:
         raise LossError("images must be (H, W) or (H, W, C)")
+    geometry._check_map(arr, LossError, "images must be non-empty and finite")
     return arr
 
 
@@ -106,21 +114,31 @@ def _valid_mask(mask, shape: tuple) -> np.ndarray:
 
 
 def _box_sum(x: np.ndarray) -> np.ndarray:
-    """Zero-padded box sum over the SSIM window (self-adjoint)."""
-    win = SSIM_WINDOW
-    r = win // 2
-    h, w, c = x.shape
-    padded = np.zeros((h + 2 * r, w + 2 * r, c))
-    padded[r:r + h, r:r + w] = x
-    csum = padded.cumsum(axis=0).cumsum(axis=1)
-    csum = np.pad(csum, ((1, 0), (1, 0), (0, 0)))
-    return (csum[win:, win:] - csum[:-win, win:] - csum[win:, :-win]
-            + csum[:-win, :-win])
+    """Zero-padded box sum over the SSIM window (self-adjoint): the window's
+    taps added down the rows, then along the columns."""
+    rows = x.copy()
+    for d in range(1, SSIM_WINDOW // 2 + 1):
+        rows[d:] += x[:-d]
+        rows[:-d] += x[d:]
+    out = rows.copy()
+    for d in range(1, SSIM_WINDOW // 2 + 1):
+        out[:, d:] += rows[:, :-d]
+        out[:, :-d] += rows[:, d:]
+    return out
+
+
+def _window_counts(n: int) -> np.ndarray:
+    """How many of the SSIM window's taps along an axis of length ``n`` fall
+    inside it, per position."""
+    r = SSIM_WINDOW // 2
+    i = np.arange(n)
+    return np.minimum(i + r, n - 1) - np.maximum(i - r, 0) + 1
 
 
 def _ssim_terms(a, b):
     # pixels inside the image under each window, (H, W, 1)
-    count = _box_sum(np.ones(a.shape[:2] + (1,)))
+    h, w, _ = a.shape
+    count = (_window_counts(h)[:, None] * _window_counts(w))[:, :, None]
     mu_a = _box_sum(a) / count
     mu_b = _box_sum(b) / count
     e_aa = _box_sum(a * a) / count
@@ -194,9 +212,8 @@ def _hint_inputs(pred_depth, target_depth, mask):
     if pred.shape != target.shape:
         raise LossError("shape mismatch")
     for depth in (pred, target):
-        # min and max propagate NaN, so no temporary mask is needed
-        if depth.size == 0 or not (0 < depth.min() and depth.max() < np.inf):
-            raise LossError("depths must be finite and positive")
+        geometry._check_map(depth, LossError,
+                            "depths must be finite and positive", low=0.0)
     return pred, target, _valid_mask(mask, pred.shape)
 
 
@@ -220,6 +237,7 @@ def _smoothness_terms(disp, img):
     img = _as_hwc(img)
     if disp.shape != img.shape[:2]:
         raise LossError("shape mismatch")
+    geometry._check_map(disp, LossError, "disparity must be finite")
     mean = disp.mean()
     if mean <= 0:
         raise LossError("disparity mean must be positive")
@@ -257,25 +275,24 @@ _PROB_FLOOR = 1e-7
 
 
 def _prepare_cross_entropy(target, probs):
+    """The target and the probabilities. Integer labels come back as an
+    integer (H, W, 1) index into the class axis, a soft target as a float64
+    (H, W, K) array."""
     probs = np.asarray(probs, dtype=np.float64)
     if probs.ndim != 3:
         raise LossError("probabilities must be (H, W, K)")
-    sums = probs.sum(axis=2)
-    if np.abs(sums - 1.0).max() > 1e-5:
+    # max propagates NaN, so a NaN probability fails the test
+    if not np.abs(probs.sum(axis=2) - 1.0).max() <= 1e-5:
         raise LossError("probability vectors must sum to 1 within 1e-5")
     target = np.asarray(target)
     if target.ndim == 2:
         if target.shape != probs.shape[:2]:
             raise LossError("shape mismatch")
         k = probs.shape[2]
-        if target.min() < 0 or target.max() >= k:
+        if not (0 <= target.min() and target.max() < k):
             raise LossError("class ids out of range")
-        onehot = np.zeros_like(probs)
-        hh, ww = np.meshgrid(np.arange(target.shape[0]),
-                             np.arange(target.shape[1]), indexing="ij")
-        onehot[hh, ww, target.astype(int)] = 1.0
-        target = onehot
-    elif target.shape != probs.shape:
+        return target.astype(np.intp)[:, :, None], probs
+    if target.shape != probs.shape:
         raise LossError("shape mismatch")
     return np.asarray(target, dtype=np.float64), probs
 
@@ -285,6 +302,10 @@ def cross_entropy(target, probs) -> float:
     are floored at 1e-7 inside the log."""
     target, probs = _prepare_cross_entropy(target, probs)
     n = probs.shape[0] * probs.shape[1]
+    if np.issubdtype(target.dtype, np.integer):
+        # integer labels: only each pixel's labelled probability counts
+        p = np.take_along_axis(probs, target, axis=2)
+        return float(-np.log(np.maximum(p, _PROB_FLOOR)).sum() / n)
     return float(-(target * np.log(np.maximum(probs, _PROB_FLOOR))).sum() / n)
 
 
@@ -292,6 +313,14 @@ def cross_entropy_grad(target, probs) -> np.ndarray:
     """Analytic gradient of cross_entropy w.r.t. the probabilities."""
     target, probs = _prepare_cross_entropy(target, probs)
     n = probs.shape[0] * probs.shape[1]
+    if np.issubdtype(target.dtype, np.integer):
+        # integer labels: the gradient is zero off each pixel's label
+        p = np.take_along_axis(probs, target, axis=2)
+        grad = np.zeros_like(probs)
+        np.put_along_axis(grad, target, np.where(
+            p > _PROB_FLOOR, -1.0 / np.maximum(p, _PROB_FLOOR), 0.0) / n,
+            axis=2)
+        return grad
     grad = np.where(probs > _PROB_FLOOR, -target / np.maximum(probs, _PROB_FLOOR),
                     0.0)
     return grad / n

@@ -101,8 +101,8 @@ def _check_same_shape(*arrays):
 def _check_depth(depth: np.ndarray):
     if depth.size == 0:
         raise RefineError("empty image")
-    if not np.all(np.isfinite(depth)) or depth.min() <= 0:
-        raise RefineError("depth must be finite and positive")
+    geometry._check_map(depth, RefineError,
+                        "depth must be finite and positive", low=0.0)
 
 
 def split_confidence_by_agreement(y: np.ndarray,

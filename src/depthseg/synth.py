@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Camera, _key_values, _neighbor_views, _number
+from .geometry import (Camera, _check_map, _key_values, _neighbor_views,
+                       _number)
 
 
 class SynthError(ValueError):
@@ -259,9 +260,7 @@ def corrupt(gt_depth: np.ndarray, gt_seg: np.ndarray,
     seg = np.asarray(gt_seg, dtype=np.int32).copy()
     if depth.shape != seg.shape:
         raise SynthError("shape mismatch")
-    # min and max propagate NaN, so no temporary mask is needed
-    if depth.size == 0 or not np.isfinite([depth.min(), depth.max()]).all():
-        raise SynthError("depth must be non-empty and finite")
+    _check_map(depth, SynthError, "depth must be non-empty and finite")
     background = depth.max()
     fg = depth < background
     for _ in range(cspec.bleed_width):

@@ -196,6 +196,32 @@ def test_loss_hint_nonfinite_depth_exit_code_2(tmp_path, capsys):
     assert "finite" in captured.err
 
 
+def _nan_at(arr, index):
+    arr[index] = np.nan
+    return arr
+
+
+@pytest.mark.parametrize("kind, a, b, error", [
+    ("photometric", np.zeros((8, 8), np.float32),
+     _nan_at(np.full((8, 8), 0.5, np.float32), (3, 4)), "finite"),
+    ("photometric", _nan_at(np.zeros((8, 8, 3), np.float32), (0, 0, 2)),
+     np.zeros((8, 8, 3), np.float32), "finite"),
+    ("smoothness", _nan_at(np.full((4, 4), 0.5, np.float32), (1, 2)),
+     np.zeros((4, 4), np.float32), "finite"),
+    ("cross-entropy", np.zeros((4, 4), np.int32),
+     _nan_at(np.full((4, 4, 2), 0.5, np.float32), (1, 2, 0)), "sum to 1"),
+], ids=["photometric-b", "photometric-a", "smoothness", "cross-entropy"])
+def test_loss_nonfinite_input_exit_code_2(tmp_path, capsys, kind, a, b,
+                                          error):
+    tensorio.save_tensor(Tensor2D(a), tmp_path / "a.stn")
+    tensorio.save_tensor(Tensor2D(b), tmp_path / "b.stn")
+    assert run(["loss", kind, "--a", str(tmp_path / "a.stn"),
+                "--b", str(tmp_path / "b.stn")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert error in captured.err
+
+
 def test_eval_command_csv(tmp_path, capsys):
     pred = np.array([[11.0, 18.0]], dtype=np.float32)
     gt = np.array([[10.0, 20.0]], dtype=np.float32)

@@ -7,6 +7,76 @@ from depthseg.geometry import (Camera, DepthParams, GeometryError, Pose,
                                flip_postprocess, project, warp)
 
 
+# Oracles: the direct forms of project, bilinear_sample, upsample_bilinear
+# and warp, through a pixel grid, an (H, W, 3) point cloud and a matrix
+# product, four fancy-index gathers and a full coordinate field.
+
+def oracle_project(depth, pose, cam):
+    h, w = depth.shape
+    vv, uu = np.meshgrid(np.arange(h, dtype=np.float64),
+                         np.arange(w, dtype=np.float64), indexing="ij")
+    x = (uu - cam.cx) / cam.fx * depth
+    y = (vv - cam.cy) / cam.fy * depth
+    pts = np.stack([x, y, depth], axis=-1)
+    pts_src = pts @ pose.rotation.T + pose.translation
+    z = pts_src[..., 2]
+    valid = z > 1e-9
+    z_safe = np.where(valid, z, 1.0)
+    u_s = cam.fx * pts_src[..., 0] / z_safe + cam.cx
+    v_s = cam.fy * pts_src[..., 1] / z_safe + cam.cy
+    valid &= (u_s >= 0) & (u_s <= w - 1) & (v_s >= 0) & (v_s <= h - 1)
+    coords = np.stack([np.where(valid, u_s, 0.0), np.where(valid, v_s, 0.0)],
+                      axis=-1)
+    return coords, valid
+
+
+def oracle_bilinear_sample(src, coords):
+    src = np.asarray(src, dtype=np.float64)
+    squeeze = src.ndim == 2
+    if squeeze:
+        src = src[:, :, None]
+    h, w, _ = src.shape
+    u = coords[..., 0]
+    v = coords[..., 1]
+    valid = (u >= 0) & (u <= w - 1) & (v >= 0) & (v <= h - 1)
+    u = np.where(valid, u, 0.0)
+    v = np.where(valid, v, 0.0)
+    u0 = np.floor(u).astype(np.intp)
+    v0 = np.floor(v).astype(np.intp)
+    u1 = np.minimum(u0 + 1, w - 1)
+    v1 = np.minimum(v0 + 1, h - 1)
+    fu = (u - u0)[..., None]
+    fv = (v - v0)[..., None]
+    out = (src[v0, u0] * (1 - fu) * (1 - fv) + src[v0, u1] * fu * (1 - fv)
+           + src[v1, u0] * (1 - fu) * fv + src[v1, u1] * fu * fv)
+    out = np.where(valid[..., None], out, 0.0).astype(np.float32)
+    return (out[:, :, 0] if squeeze else out), valid
+
+
+def oracle_upsample_bilinear(img, shape):
+    img = np.asarray(img, dtype=np.float64)
+    h_in, w_in = img.shape[:2]
+    h_out, w_out = shape
+    v = np.linspace(0, h_in - 1, h_out) if h_out > 1 else np.zeros(1)
+    u = np.linspace(0, w_in - 1, w_out) if w_out > 1 else np.zeros(1)
+    uu, vv = np.meshgrid(u, v)
+    return oracle_bilinear_sample(img, np.stack([uu, vv], axis=-1))[0]
+
+
+def oracle_warp(src_img, depth, pose, cam):
+    coords, proj_valid = oracle_project(depth, pose, cam)
+    out, sample_valid = oracle_bilinear_sample(src_img, coords)
+    valid = proj_valid & sample_valid
+    mask = valid if out.ndim == 2 else valid[..., None]
+    return np.where(mask, out, 0.0).astype(np.float32), valid
+
+
+def assert_bitwise(got, want):
+    for g, e in zip(got, want):
+        assert g.dtype == e.dtype and g.shape == e.shape
+        assert np.array_equal(g, e)
+
+
 def test_camera_rejects_nonpositive_focal():
     with pytest.raises(GeometryError):
         Camera(0.0, 1.0, 0.0, 0.0)
@@ -169,3 +239,105 @@ def test_upsample_bilinear_aligns_corners():
     assert out[0, -1] == pytest.approx(1.0)
     assert out[-1, 0] == pytest.approx(2.0)
     assert out[-1, -1] == pytest.approx(3.0)
+
+
+def lattice_edge_coords(rng, h, w):
+    """Random (u, v) samples around an h x w image: some out of bounds or
+    negative, some on integer positions, and the last column and row."""
+    coords = np.stack([rng.uniform(-2.0, w + 1.0, (h, w)),
+                       rng.uniform(-2.0, h + 1.0, (h, w))], axis=-1)
+    coords.reshape(-1, 2)[::3] = np.floor(coords.reshape(-1, 2)[::3])
+    coords[0, 0] = (w - 1, h - 1)
+    coords[-1, -1] = (w - 1, 0.0)
+    coords[0, -1] = (0.0, h - 1)
+    coords[-1, 0] = (-1e-12, h - 1)
+    return coords
+
+
+@pytest.mark.parametrize("shape", [(1, 9), (9, 1), (1, 1), (7, 12)])
+@pytest.mark.parametrize("channels", [None, 1, 3])
+def test_bilinear_sample_matches_oracle_bitwise(shape, channels):
+    rng = np.random.default_rng(11)
+    h, w = shape
+    src = rng.random(shape if channels is None else shape + (channels,))
+    src = src.astype(np.float32)
+    coords = lattice_edge_coords(rng, h, w)
+    assert_bitwise(bilinear_sample(src, coords),
+                   oracle_bilinear_sample(src, coords))
+
+
+@pytest.mark.parametrize("shape_in", [(1, 5), (5, 1), (1, 1), (3, 4),
+                                      (24, 80)])
+@pytest.mark.parametrize("scale", [1, 2, 3])
+@pytest.mark.parametrize("channels", [None, 3])
+def test_upsample_bilinear_matches_oracle_bitwise(shape_in, scale, channels):
+    rng = np.random.default_rng(12)
+    img = rng.random(shape_in if channels is None
+                     else shape_in + (channels,))
+    for shape in [(shape_in[0] * scale, shape_in[1] * scale),
+                  (1, 5 * scale), (4 * scale + 1, 1)]:
+        got = geometry.upsample_bilinear(img, shape)
+        assert_bitwise([got], [oracle_upsample_bilinear(img, shape)])
+
+
+POSES = {"identity": Pose.identity(), "stereo": Pose.stereo_baseline(0.54),
+         "translation": Pose(np.eye(3), np.array([0.1, -0.2, 0.3]))}
+
+
+@pytest.mark.parametrize("pose", list(POSES), ids=str)
+@pytest.mark.parametrize("shape", [(1, 9), (9, 1), (48, 160)])
+def test_project_and_warp_match_oracle_bitwise(pose, shape):
+    rng = np.random.default_rng(13)
+    pose = POSES[pose]
+    cam = Camera(92.8, 90.0, 79.5, 23.5)
+    depth = rng.uniform(0.5, 40.0, shape)
+    assert_bitwise(project(depth, pose, cam),
+                   oracle_project(depth, pose, cam))
+    for img in (rng.random(shape).astype(np.float32),
+                rng.random(shape + (3,))):
+        assert_bitwise(warp(img, depth, pose, cam),
+                       oracle_warp(img, depth, pose, cam))
+
+
+def longdouble_project(depth, pose, cam):
+    ld = np.longdouble
+    h, w = depth.shape
+    d = depth.astype(ld)
+    vv, uu = np.meshgrid(np.arange(h, dtype=ld), np.arange(w, dtype=ld),
+                         indexing="ij")
+    pts = [(uu - ld(cam.cx)) / ld(cam.fx) * d,
+           (vv - ld(cam.cy)) / ld(cam.fy) * d, d]
+    r = pose.rotation.astype(ld)
+    t = pose.translation.astype(ld)
+    x, y, z = (sum(r[i, j] * pts[j] for j in range(3)) + t[i]
+               for i in range(3))
+    return np.stack([ld(cam.fx) * x / z + ld(cam.cx),
+                     ld(cam.fy) * y / z + ld(cam.cy)], axis=-1)
+
+
+PROJECT_RTOL = 1e-12
+
+
+def test_project_random_rotations_match_longdouble_oracle():
+    # the rotation is applied row by row, not as a matrix product, so the
+    # result may differ from the oracle's in the last bits; the bound is
+    # relative to the largest coordinate in view
+    rng = np.random.default_rng(14)
+    cam = Camera(92.8, 90.0, 79.5, 23.5)
+    for _ in range(8):
+        q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        rot = q * np.sign(np.linalg.det(q))
+        # a small rotation about a random axis keeps most pixels in view
+        small = np.linalg.qr(np.eye(3) + 0.05 * rng.normal(size=(3, 3)))[0]
+        small *= np.sign(np.diag(small))
+        for r in (rot, small):
+            pose = Pose(r, rng.normal(size=3))
+            depth = rng.uniform(1.0, 80.0, (48, 160))
+            coords, valid = project(depth, pose, cam)
+            want, want_valid = oracle_project(depth, pose, cam)
+            assert np.array_equal(valid, want_valid)
+            exact = longdouble_project(depth, pose, cam)[valid]
+            scale = np.abs(exact).max() if valid.any() else 1.0
+            for got in (coords[valid], want[valid]):
+                assert np.abs(got - exact).max() <= PROJECT_RTOL * scale
+            assert np.abs(coords - want).max() <= PROJECT_RTOL * scale

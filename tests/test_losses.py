@@ -121,6 +121,82 @@ def test_photometric_gradient(gamma):
     assert rel_error(grad, num) < 1e-4
 
 
+def longdouble_box_sum(x):
+    """The direct zero-padded 3x3 sum of nine shifted copies."""
+    h, w, _ = x.shape
+    padded = np.pad(x, ((1, 1), (1, 1), (0, 0)))
+    return sum(padded[1 + dr:1 + dr + h, 1 + dc:1 + dc + w]
+               for dr in (-1, 0, 1) for dc in (-1, 0, 1))
+
+
+def longdouble_ssim_terms(a, b):
+    ld = np.longdouble
+    a = np.asarray(a, dtype=ld)
+    b = np.asarray(b, dtype=ld)
+    count = longdouble_box_sum(np.ones(a.shape[:2] + (1,), dtype=ld))
+    mu_a = longdouble_box_sum(a) / count
+    mu_b = longdouble_box_sum(b) / count
+    var_a = longdouble_box_sum(a * a) / count - mu_a ** 2
+    var_b = longdouble_box_sum(b * b) / count - mu_b ** 2
+    cov = longdouble_box_sum(a * b) / count - mu_a * mu_b
+    c1, c2 = ld(0.01) ** 2, ld(0.03) ** 2
+    n1 = 2 * mu_a * mu_b + c1
+    n2 = 2 * cov + c2
+    d1 = mu_a ** 2 + mu_b ** 2 + c1
+    d2 = var_a + var_b + c2
+    return a, b, count, mu_a, mu_b, n1, n2, d1, d2, n1 * n2 / (d1 * d2)
+
+
+def longdouble_photometric(a, b, mask, gamma):
+    """The loss and its gradient w.r.t. b, in long double."""
+    ld = np.longdouble
+    a, b, count, mu_a, mu_b, n1, n2, d1, d2, ssim = longdouble_ssim_terms(
+        a, b)
+    channels = a.shape[2]
+    g_pix = mask[:, :, None] / ld(mask.sum())
+    per_pixel = (ld(gamma) / 2 * (1 - ssim.mean(axis=2))
+                 + (1 - ld(gamma)) * np.abs(a - b).mean(axis=2))
+    loss = per_pixel[mask].mean()
+    g = -ld(gamma) / 2 / channels * g_pix
+    g_n1 = g * n2 / (d1 * d2)
+    g_d1 = -g * ssim / d1
+    g_d2 = -g * ssim / d2
+    g_cov = 2 * g * n1 / (d1 * d2)
+    g_mu_b = g_n1 * 2 * mu_a + g_d1 * 2 * mu_b - g_cov * mu_a - g_d2 * 2 * mu_b
+    grad = (longdouble_box_sum(g_mu_b / count)
+            + longdouble_box_sum(g_d2 / count) * 2 * b
+            + longdouble_box_sum(g_cov / count) * a)
+    grad += (1 - ld(gamma)) / channels * np.sign(b - a) * g_pix
+    return loss, grad
+
+
+# Box sums are direct adds, so the error does not grow with the image
+# area: about 1e-14 at 192x640. A cumulative-sum box filter is off by
+# about 3e-12 at 48x160 and 1e-10 at 192x640.
+SSIM_ATOL = 1e-13
+LOSS_RTOL = 1e-13
+
+
+@pytest.mark.parametrize("shape", [(8, 8, 3), (1, 7, 1), (7, 1, 2),
+                                   (48, 160, 1)])
+def test_ssim_and_photometric_match_longdouble_oracle(shape):
+    rng = np.random.default_rng(12)
+    a = rng.random(shape)
+    b = rng.random(shape)
+    mask = rng.random(shape[:2]) < 0.8
+    mask[0, 0] = True
+    *_, ssim = longdouble_ssim_terms(a, b)
+    assert np.abs(ssim_map(a, b) - ssim.mean(axis=2)).max() <= SSIM_ATOL
+    for gamma in (0.0, 0.85):
+        w = LossWeights(gamma=gamma)
+        loss, grad = longdouble_photometric(a, b, mask, gamma)
+        assert abs(photometric_loss(a, b, mask, w) - loss) <= (
+            LOSS_RTOL * abs(loss))
+        got = photometric_loss_grad(a, b, mask, w)
+        assert got.dtype == np.float64
+        assert np.abs(got - grad).max() <= LOSS_RTOL * np.abs(grad).max()
+
+
 @pytest.mark.parametrize("fn", [photometric_loss, photometric_loss_grad])
 @pytest.mark.parametrize("b_shape, mask, error", [
     ((4, 5), None, "shape mismatch"),
@@ -150,6 +226,42 @@ def test_photometric_loss_and_grad_reject_bad_inputs(fn, b_shape, mask,
 def test_hint_loss_and_grad_reject_bad_inputs(fn, pred, target, mask, error):
     with pytest.raises(LossError, match=error):
         fn(pred, target, mask)
+
+
+@pytest.mark.parametrize("fn", [ssim_map, photometric_loss,
+                                photometric_loss_grad])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("channels", [None, 3])
+def test_losses_reject_nonfinite_images(fn, bad, channels):
+    rng = np.random.default_rng(6)
+    shape = (5, 6) if channels is None else (5, 6, channels)
+    a = rng.random(shape)
+    b = rng.random(shape)
+    b[2, 3] = bad
+    for x, y in ((a, b), (b, a)):
+        with pytest.raises(LossError, match="images must be non-empty and "
+                                            "finite"):
+            fn(x, y)
+
+
+@pytest.mark.parametrize("fn", [ssim_map, photometric_loss,
+                                photometric_loss_grad])
+def test_losses_reject_empty_images(fn):
+    with pytest.raises(LossError, match="non-empty"):
+        fn(np.zeros((0, 4)), np.zeros((0, 4)))
+
+
+@pytest.mark.parametrize("fn", [smoothness_loss, smoothness_loss_grad])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("which, error", [
+    (0, "disparity must be finite"),
+    (1, "images must be non-empty and finite"),
+])
+def test_smoothness_and_grad_reject_nonfinite_inputs(fn, bad, which, error):
+    args = [np.full((4, 4), 0.5), np.zeros((4, 4, 3))]
+    args[which][1, 2] = bad
+    with pytest.raises(LossError, match=error):
+        fn(*args)
 
 
 def test_hint_loss_log_form():
@@ -231,6 +343,43 @@ def test_cross_entropy_rejects_out_of_range_ids():
     probs = np.full((2, 2, 3), 1 / 3)
     with pytest.raises(LossError):
         cross_entropy(np.full((2, 2), 3), probs)
+
+
+def test_cross_entropy_labels_match_one_hot_target():
+    rng = np.random.default_rng(11)
+    logits = rng.random((9, 13, 5)) + 0.1
+    probs = logits / logits.sum(axis=2, keepdims=True)
+    probs[0, 0] = (1.0, 0.0, 0.0, 0.0, 0.0)  # labelled p under the floor
+    labels = rng.integers(0, 5, (9, 13))
+    labels[0, 0] = 1
+    one_hot = np.eye(5)[labels]
+    loss = cross_entropy(labels, probs)
+    assert loss == pytest.approx(cross_entropy(one_hot, probs), rel=1e-12)
+    grad = cross_entropy_grad(labels, probs)
+    assert grad.shape == probs.shape and grad.dtype == np.float64
+    assert np.array_equal(grad, cross_entropy_grad(one_hot, probs))
+
+
+@pytest.mark.parametrize("fn", [cross_entropy, cross_entropy_grad])
+@pytest.mark.parametrize("target, error", [
+    (np.full((2, 2), 3), "out of range"),
+    (np.full((2, 2), -1), "out of range"),
+    (np.array([[0.0, np.nan], [1.0, 1.0]]), "out of range"),
+    (np.zeros((2, 3), int), "shape mismatch"),
+    (np.zeros((2, 2, 2)), "shape mismatch"),
+])
+def test_cross_entropy_and_grad_reject_bad_targets(fn, target, error):
+    with pytest.raises(LossError, match=error):
+        fn(target, np.full((2, 2, 3), 1 / 3))
+
+
+@pytest.mark.parametrize("fn", [cross_entropy, cross_entropy_grad])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_cross_entropy_and_grad_reject_nonfinite_probabilities(fn, bad):
+    probs = np.full((4, 4, 2), 0.5)
+    probs[1, 2, 0] = bad
+    with pytest.raises(LossError, match="sum to 1"):
+        fn(np.zeros((4, 4), int), probs)
 
 
 def test_cross_entropy_gradient():
