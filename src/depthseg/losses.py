@@ -281,6 +281,8 @@ def _prepare_cross_entropy(target, probs):
     probs = np.asarray(probs, dtype=np.float64)
     if probs.ndim != 3:
         raise LossError("probabilities must be (H, W, K)")
+    if probs.shape[0] * probs.shape[1] == 0:
+        raise LossError("probabilities must cover at least one pixel")
     # max propagates NaN, so a NaN probability fails the test
     if not np.abs(probs.sum(axis=2) - 1.0).max() <= 1e-5:
         raise LossError("probability vectors must sum to 1 within 1e-5")
@@ -294,7 +296,9 @@ def _prepare_cross_entropy(target, probs):
         return target.astype(np.intp)[:, :, None], probs
     if target.shape != probs.shape:
         raise LossError("shape mismatch")
-    return np.asarray(target, dtype=np.float64), probs
+    target = np.asarray(target, dtype=np.float64)
+    geometry._check_map(target, LossError, "soft target must be finite")
+    return target, probs
 
 
 def cross_entropy(target, probs) -> float:

@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import geometry
+
 MIN_PRED_DEPTH = 1e-3
 DEFAULT_DEPTH_CAP = 80.0
 
@@ -50,8 +52,9 @@ def evaluate_depth(pred, gt, gt_valid=None,
     gt = np.asarray(gt, dtype=np.float64)
     if pred.shape != gt.shape:
         raise MetricsError("shape mismatch")
-    if not np.all(np.isfinite(pred)):
-        raise MetricsError("predictions must be finite")
+    # an empty map fails below, as having no valid ground-truth pixels
+    if pred.size:
+        geometry._check_map(pred, MetricsError, "predictions must be finite")
     if not np.isfinite(cap):
         raise MetricsError("cap must be finite")
     if gt_valid is None:

@@ -275,17 +275,23 @@ def split_confidence_by_consistency(depth: np.ndarray, y_refined: np.ndarray,
                       np.asarray(warp_valid))
     if not isinstance(classes, ClassSet):
         classes = ClassSet(tuple(int(c) for c in classes))
-    present = set(int(v) for v in np.unique(y_refined))
-    missing = present - set(classes.classes)
-    if missing:
-        raise RefineError(f"classes {sorted(missing)} present in the refined "
-                          "segmentation but absent from the class set")
     consistent = (np.asarray(y_t) == np.asarray(y_st)) & np.asarray(warp_valid)
     states = []
+    covered = 0
     for k in classes.classes:
         mask = y_refined == k
+        covered += np.count_nonzero(mask)
         states.append(RefineState(confident=mask & consistent,
                                   unreliable=mask & ~consistent))
+    # the class ids are distinct, so the masks are disjoint and cover the
+    # image iff their counts add up to its size
+    if covered != y_refined.size:
+        present = set(int(v) for v in np.unique(y_refined))
+        missing = present - set(classes.classes)
+        if missing:
+            raise RefineError(f"classes {sorted(missing)} present in the "
+                              "refined segmentation but absent from the "
+                              "class set")
     return states
 
 

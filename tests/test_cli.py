@@ -116,18 +116,25 @@ def test_warp_matches_library(tmp_path, capsys):
     assert np.allclose(warped, expect, atol=1e-6)
 
 
-def test_refine_seg_matches_library(tmp_path, capsys):
+def refine_seg_inputs(tmp_path):
+    """Random 16x16 refine-seg inputs written to tmp_path: the command line
+    without --th and --out, and the arrays."""
     rng = np.random.default_rng(0)
     y = rng.integers(0, 3, (16, 16)).astype(np.int32)
     y_hat = rng.integers(0, 3, (16, 16)).astype(np.int32)
     depth = (rng.random((16, 16)) * 4 + 1).astype(np.float32)
     for name, arr in (("y", y), ("yhat", y_hat), ("depth", depth)):
         tensorio.save_tensor(Tensor2D(arr), tmp_path / f"{name}.stn")
+    argv = ["refine-seg", "--y", str(tmp_path / "y.stn"),
+            "--yhat", str(tmp_path / "yhat.stn"),
+            "--depth", str(tmp_path / "depth.stn")]
+    return argv, y, y_hat, depth
+
+
+def test_refine_seg_matches_library(tmp_path, capsys):
+    argv, y, y_hat, depth = refine_seg_inputs(tmp_path)
     out = tmp_path / "refined.stn"
-    assert run(["refine-seg", "--y", str(tmp_path / "y.stn"),
-                "--yhat", str(tmp_path / "yhat.stn"),
-                "--depth", str(tmp_path / "depth.stn"),
-                "--th", "0.2", "--out", str(out)]) == 0
+    assert run(argv + ["--th", "0.2", "--out", str(out)]) == 0
     got = tensorio.load_tensor(out).data[:, :, 0]
     expect = refine.refine_segmentation_with_depth(
         y, y_hat, depth.astype(np.float64),
@@ -210,7 +217,10 @@ def _nan_at(arr, index):
      np.zeros((4, 4), np.float32), "finite"),
     ("cross-entropy", np.zeros((4, 4), np.int32),
      _nan_at(np.full((4, 4, 2), 0.5, np.float32), (1, 2, 0)), "sum to 1"),
-], ids=["photometric-b", "photometric-a", "smoothness", "cross-entropy"])
+    ("cross-entropy", _nan_at(np.full((4, 4, 2), 0.5, np.float32), (1, 2, 0)),
+     np.full((4, 4, 2), 0.5, np.float32), "soft target must be finite"),
+], ids=["photometric-b", "photometric-a", "smoothness", "cross-entropy",
+        "cross-entropy-soft-target"])
 def test_loss_nonfinite_input_exit_code_2(tmp_path, capsys, kind, a, b,
                                           error):
     tensorio.save_tensor(Tensor2D(a), tmp_path / "a.stn")
@@ -279,3 +289,114 @@ def test_corrupt_data_exit_code_2(tmp_path, capsys):
     bad = tmp_path / "bad.stn"
     bad.write_bytes(b"garbage")
     assert run(["eval", "--pred", str(bad), "--gt", str(bad)]) == 2
+
+
+def test_main_builds_at_most_one_parser(tmp_path, monkeypatch, capsys):
+    roots = []
+    init = cli._Parser.__init__
+
+    def spy(self, *args, **kwargs):
+        # the subcommand parsers are _Parser too, with "depthseg <command>"
+        roots.append(kwargs.get("prog") == "depthseg")
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", spy)
+    prefix = write_scene(tmp_path)
+    seg = refine_seg_inputs(tmp_path)[0]
+    for argv in (seg + ["--out", str(tmp_path / "r.stn")],
+                 ["eval", "--pred", str(prefix) + "_depth.stn",
+                  "--gt", str(prefix) + "_depth.stn"],
+                 ["pp", "--pred", str(prefix) + "_depth.stn",
+                  "--pred-flipped", str(prefix) + "_depth.stn",
+                  "--out", str(tmp_path / "pp.stn")],
+                 ["loss", "hint", "--a", str(prefix) + "_depth.stn",
+                  "--b", str(prefix) + "_depth.stn"],
+                 ["arch", "--classes", "19"],
+                 ["arch", "--height", "0"],
+                 ["eval", "--pred", str(tmp_path / "missing.stn"),
+                  "--gt", str(tmp_path / "missing.stn")],
+                 ["refine-seg", "--y", "a.stn"],
+                 ["no-such-command"]):
+        assert run(argv) in (0, 1, 2)
+    assert sum(roots) <= 1
+
+
+def test_default_threshold_after_explicit_threshold(tmp_path, capsys):
+    seg = refine_seg_inputs(tmp_path)[0]
+    explicit, default = tmp_path / "th.stn", tmp_path / "default.stn"
+    assert run(seg + ["--th", "0.5", "--out", str(explicit)]) == 0
+    assert run(seg + ["--out", str(default)]) == 0
+    # through a fresh parser, as main ran before it shared one
+    fresh = tmp_path / "fresh.stn"
+    args = cli.build_parser().parse_args(seg + ["--out", str(fresh)])
+    assert args.th is None
+    assert args.func(args) == 0
+    assert default.read_bytes() == fresh.read_bytes()
+    assert default.read_bytes() != explicit.read_bytes()
+
+
+def test_usage_error_leaves_later_commands_unchanged(tmp_path, capsys):
+    seg = refine_seg_inputs(tmp_path)[0]
+    out = tmp_path / "r.stn"
+    assert run(seg + ["--out", str(out)]) == 0
+    first = capsys.readouterr()
+    payload = out.read_bytes()
+    # --th parses before the missing --out fails the call
+    assert run(seg + ["--th", "0.5"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: depthseg refine-seg ")
+    assert "error: the following arguments are required: --out" in err
+    assert run(seg + ["--out", str(out)]) == 0
+    assert capsys.readouterr() == first
+    assert out.read_bytes() == payload
+
+
+ROOT_HELP = """\
+usage: depthseg [-h]
+                {synth,warp,refine-seg,refine-depth,loss,eval,pp,arch} ...
+
+Stereo depth + segmentation refinement toolbox
+
+positional arguments:
+  {synth,warp,refine-seg,refine-depth,loss,eval,pp,arch}
+    synth               render a synthetic stereo scene
+    warp                warp a source image into the target view
+    refine-seg          refine segmentation labels with depth
+    refine-depth        refine depth with cross-view label consistency
+    loss                evaluate a loss term on two tensors
+    eval                depth error metrics as a CSV row
+    pp                  mirror-blend post-processing
+    arch                decoder shape/parameter report
+
+options:
+  -h, --help            show this help message and exit
+"""
+
+REFINE_SEG_HELP = """\
+usage: depthseg refine-seg [-h] --y Y --yhat YHAT --depth DEPTH [--th TH]
+                           [--radius RADIUS] --out OUT
+
+options:
+  -h, --help       show this help message and exit
+  --y Y
+  --yhat YHAT
+  --depth DEPTH
+  --th TH          depth-difference threshold (default: 5% of median confident
+                   depth)
+  --radius RADIUS
+  --out OUT
+"""
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["--help"], ROOT_HELP),
+    (["refine-seg", "--help"], REFINE_SEG_HELP),
+], ids=["root", "refine-seg"])
+def test_help_text(monkeypatch, capsys, argv, text):
+    # help is laid out for the terminal width when it is printed
+    monkeypatch.setenv("COLUMNS", "80")
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr() == (text, "")

@@ -382,6 +382,24 @@ def test_cross_entropy_and_grad_reject_nonfinite_probabilities(fn, bad):
         fn(np.zeros((4, 4), int), probs)
 
 
+@pytest.mark.parametrize("fn", [cross_entropy, cross_entropy_grad])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_cross_entropy_and_grad_reject_nonfinite_soft_target(fn, bad):
+    target = np.full((4, 4, 2), 0.5)
+    target[1, 2, 0] = bad
+    with pytest.raises(LossError, match="soft target must be finite"):
+        fn(target, np.full((4, 4, 2), 0.5))
+
+
+@pytest.mark.parametrize("fn", [cross_entropy, cross_entropy_grad])
+@pytest.mark.parametrize("target", [np.zeros((0, 3), int),
+                                    np.zeros((0, 3, 2))],
+                         ids=["labels", "soft"])
+def test_cross_entropy_and_grad_reject_zero_size(fn, target):
+    with pytest.raises(LossError, match="at least one pixel"):
+        fn(target, np.zeros((0, 3, 2)))
+
+
 def test_cross_entropy_gradient():
     rng = np.random.default_rng(8)
     logits = rng.random((8, 8, 4)) + 0.1

@@ -82,8 +82,13 @@ def test_nonfinite_prediction_rejected(bad):
     gt = np.full((4, 4), 5.0)
     pred = gt.copy()
     pred[1, 2] = bad
-    with pytest.raises(MetricsError):
+    with pytest.raises(MetricsError, match="predictions must be finite"):
         evaluate_depth(pred, gt)
+
+
+def test_empty_inputs_have_no_valid_pixels():
+    with pytest.raises(MetricsError, match="no valid ground-truth pixels"):
+        evaluate_depth(np.zeros((0, 4)), np.zeros((0, 4)))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -199,11 +199,21 @@ def test_split_by_consistency_marks_invalid_warp_unreliable():
 
 
 def test_split_by_consistency_rejects_unknown_class():
-    depth = np.ones((2, 2))
-    seg = np.array([[0, 1], [0, 1]])
-    with pytest.raises(RefineError):
+    depth = np.ones((2, 3))
+    seg = np.array([[0, 3, 1], [0, 1, 3]])
+    with pytest.raises(RefineError, match=r"classes \[1, 3\] present"):
         split_confidence_by_consistency(depth, seg, seg, seg,
-                                        np.ones((2, 2), bool), ClassSet((0,)))
+                                        np.ones((2, 3), bool), ClassSet((0,)))
+
+
+def test_split_by_consistency_allows_absent_classes():
+    depth = np.ones((2, 2))
+    seg = np.array([[0, 2], [0, 2]])
+    states = split_confidence_by_consistency(depth, seg, seg, seg,
+                                             np.ones((2, 2), bool),
+                                             ClassSet((2, 1, 0)))
+    assert [int(st.confident.sum()) for st in states] == [2, 0, 2]
+    assert not any(st.unreliable.any() for st in states)
 
 
 @pytest.mark.parametrize("radius", [1, 2])
