@@ -5,6 +5,13 @@ describe the depth-branch decoder plus the segmentation branch at the five
 decoder-sharing levels l0 (encoder only) through l4 (whole decoder trunk
 shared). Nothing here instantiates a network; the module only answers
 "what shape comes out of each layer" and "how many parameters live where".
+
+Parameters are counted in one walk over a level's layers: each trunk layer,
+then each segmentation-specific layer, with its part (shared with the
+segmentation branch, depth only, or segmentation only) and its parameter
+count. ``branch_param_totals`` and ``report`` both read that walk; a branch
+layer that is weight-tied to a trunk conv reads its channels through the
+conv it is tied to and adds no parameters of its own.
 """
 
 from __future__ import annotations
@@ -142,14 +149,17 @@ def load_tables(text: str | None = None,
                                 sp.batch_norm, sp.activation)
                       for sp in layers]
         shared = shared_lists.get(lvl, ())
+        if not set(shared) <= trunk_names:
+            raise ArchError(f"{lvl}: shared layers "
+                            f"{sorted(set(shared) - trunk_names)} are not in "
+                            "the depth decoder")
         # a branch upsample conv fed directly by a shared trunk layer is
         # weight-tied to the trunk conv of the same stage
         tied = {}
         specific = []
         for sp in layers:
             if (sp.name.startswith("upsconv") and len(sp.inputs) == 1
-                    and sp.inputs[0][0] in trunk_names
-                    and sp.inputs[0][0] not in _ENCODER_STRIDES):
+                    and sp.inputs[0][0] in trunk_names):
                 tied[sp.name] = "upconv" + sp.name[len("upsconv"):]
             else:
                 specific.append(sp)
@@ -180,43 +190,39 @@ def _check_acyclic(tables: DecoderTables) -> None:
             seen.add(layer.name)
 
 
-def _channel_map(tables: DecoderTables, encoder: str) -> dict[str, int]:
+def _walk(tables: DecoderTables, level: str,
+          encoder: str) -> list[tuple[LayerSpec, str, int]]:
+    """Each trunk layer, then each of the level's segmentation-specific
+    layers, as (layer, part, parameters); part is "shared", "depth" or
+    "seg"."""
+    if level not in tables.levels:
+        raise ArchError(f"unknown sharing level {level!r}")
     if encoder not in tables.encoder_channels:
         raise ArchError(f"unknown encoder {encoder!r}")
-    return dict(tables.encoder_channels[encoder])
+    lv = tables.levels[level]
+    channels = dict(tables.encoder_channels[encoder])
+    parts = [(layer, "shared" if layer.name in lv.shared else "depth")
+             for layer in tables.trunk]
+    parts += [(layer, "seg") for layer in lv.specific]
+    walk = []
+    for layer, part in parts:
+        n_in = sum(channels[lv.tied.get(src, src)] for src, _ in layer.inputs)
+        channels[layer.name] = layer.out_channels
+        walk.append((layer, part, param_count(layer, n_in)))
+    return walk
 
 
-def _resolve(name: str, tied: dict[str, str]) -> str:
-    return tied.get(name, name)
-
-
-def _in_channels(layer: LayerSpec, channels: dict[str, int],
-                 tied: dict[str, str]) -> int:
-    return sum(channels[_resolve(src, tied)] for src, _ in layer.inputs)
+def _totals(walk: list[tuple[LayerSpec, str, int]]) -> tuple[int, int]:
+    """(shared, segmentation-specific) parameters of a walk."""
+    return (sum(n for _, part, n in walk if part == "shared"),
+            sum(n for _, part, n in walk if part == "seg"))
 
 
 def branch_param_totals(tables: DecoderTables, level: str,
                         encoder: str) -> tuple[int, int]:
     """(shared decoder parameters, segmentation-specific parameters) for a
     sharing level and encoder."""
-    if level not in tables.levels:
-        raise ArchError(f"unknown sharing level {level!r}")
-    channels = _channel_map(tables, encoder)
-    trunk_by_name = {}
-    trunk_params = {}
-    for layer in tables.trunk:
-        n_in = _in_channels(layer, channels, {})
-        trunk_params[layer.name] = param_count(layer, n_in)
-        channels[layer.name] = layer.out_channels
-        trunk_by_name[layer.name] = layer
-    lv = tables.levels[level]
-    shared_total = sum(trunk_params[name] for name in lv.shared)
-    specific_total = 0
-    for layer in lv.specific:
-        n_in = _in_channels(layer, channels, lv.tied)
-        specific_total += param_count(layer, n_in)
-        channels[layer.name] = layer.out_channels
-    return shared_total, specific_total
+    return _totals(_walk(tables, level, encoder))
 
 
 def output_shapes(tables: DecoderTables, level: str, encoder: str,
@@ -229,51 +235,37 @@ def output_shapes(tables: DecoderTables, level: str, encoder: str,
         raise ArchError("input height and width must be positive")
     if h % 32 or w % 32:
         raise ArchError("input height and width must be divisible by 32")
-    channels = _channel_map(tables, encoder)
+    if encoder not in tables.encoder_channels:
+        raise ArchError(f"unknown encoder {encoder!r}")
+    channels = tables.encoder_channels[encoder]
     shapes = {name: (h // s, w // s, channels[name])
               for name, s in _ENCODER_STRIDES.items()}
     lv = tables.levels[level]
-
-    def add_layer(layer: LayerSpec):
+    for layer in (*tables.trunk, *lv.specific):
         resolutions = set()
         for src, factor in layer.inputs:
-            sh, sw, _ = shapes[_resolve(src, lv.tied)]
+            sh, sw, _ = shapes[lv.tied.get(src, src)]
             resolutions.add((sh * factor, sw * factor))
         if len(resolutions) != 1:
             raise ArchError(f"{layer.name}: inputs land at mixed resolutions "
                             f"{sorted(resolutions)}")
         oh, ow = resolutions.pop()
         shapes[layer.name] = (oh, ow, layer.out_channels)
-
-    for layer in tables.trunk:
-        add_layer(layer)
-    for layer in lv.specific:
-        add_layer(layer)
     return shapes
 
 
 def report(tables: DecoderTables, level: str, encoder: str,
            input_hw: tuple[int, int] = (192, 640)) -> str:
     """Human-readable shape/parameter summary used by the CLI."""
-    channels = _channel_map(tables, encoder)
+    walk = _walk(tables, level, encoder)
     shapes = output_shapes(tables, level, encoder, input_hw)
-    lv = tables.levels[level]
     lines = [f"level {level}  encoder {encoder}  input "
              f"{input_hw[0]}x{input_hw[1]}"]
-    for layer in tables.trunk:
-        n_in = _in_channels(layer, channels, {})
-        channels[layer.name] = layer.out_channels
-        kind = "shared" if layer.name in lv.shared else "depth "
+    for layer, part, n in walk:
         hh, ww, cc = shapes[layer.name]
-        lines.append(f"  {kind} {layer.name:9s} {hh:4d}x{ww:<4d}x{cc:<4d} "
-                     f"params {param_count(layer, n_in):>9d}")
-    for layer in lv.specific:
-        n_in = _in_channels(layer, channels, lv.tied)
-        channels[layer.name] = layer.out_channels
-        hh, ww, cc = shapes[layer.name]
-        lines.append(f"  seg    {layer.name:9s} {hh:4d}x{ww:<4d}x{cc:<4d} "
-                     f"params {param_count(layer, n_in):>9d}")
-    shared_total, specific_total = branch_param_totals(tables, level, encoder)
+        lines.append(f"  {part:6s} {layer.name:9s} {hh:4d}x{ww:<4d}x{cc:<4d} "
+                     f"params {n:>9d}")
+    shared_total, specific_total = _totals(walk)
     lines.append(f"  encoder params          {tables.encoder_params[encoder]}")
     lines.append(f"  shared decoder params   {shared_total}")
     lines.append(f"  seg-specific params     {specific_total}")

@@ -119,7 +119,7 @@ def cmd_refine_depth(args) -> int:
     cam, pose = geometry.load_camera_pose(args.camera)
     cfg = refine.RefineConfig(depth_threshold=args.th,
                               neighborhood_radius=args.radius)
-    segmenter = synth.intensity_segmenter(levels=args.seg_levels)
+    segmenter = synth.intensity_segmenter()
     refined = refine.refine_depth_full(depth, y, img_t, img_s, pose, cam,
                                        segmenter, cfg)
     _save(refined, "f32", args.out)
@@ -128,8 +128,7 @@ def cmd_refine_depth(args) -> int:
 
 
 def cmd_loss(args) -> int:
-    w = losses.LossWeights(gamma=args.gamma, alpha=args.alpha,
-                           beta1=args.beta1, beta2=args.beta2)
+    w = losses.LossWeights(gamma=args.gamma)
     if args.kind == "photometric":
         a = tensorio.to_float(_load(args.a)).data
         b = tensorio.to_float(_load(args.b)).data
@@ -220,7 +219,6 @@ def build_parser() -> _Parser:
     p.add_argument("--camera", required=True)
     p.add_argument("--th", type=float, default=None)
     p.add_argument("--radius", type=int, default=1)
-    p.add_argument("--seg-levels", type=int, default=64)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_refine_depth)
 
@@ -230,9 +228,6 @@ def build_parser() -> _Parser:
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
     p.add_argument("--gamma", type=float, default=0.85)
-    p.add_argument("--alpha", type=float, default=0.5)
-    p.add_argument("--beta1", type=float, default=1.0)
-    p.add_argument("--beta2", type=float, default=1.0)
     p.set_defaults(func=cmd_loss)
 
     p = sub.add_parser("eval", help="depth error metrics as a CSV row")

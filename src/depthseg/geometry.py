@@ -261,8 +261,12 @@ def bilinear_sample(src: np.ndarray,
 
 def warp(src_img: np.ndarray, target_depth: np.ndarray, pose: Pose,
          cam: Camera) -> tuple[np.ndarray, np.ndarray]:
-    """Warp the source image into the target view using the target depth."""
+    """Warp the source image into the target view using the target depth.
+    Both views have the depth's height and width."""
     coords, proj_valid = project(target_depth, pose, cam)
+    if np.shape(src_img)[:2] != coords.shape[:2]:
+        raise GeometryError(f"source image is {np.shape(src_img)[:2]}, not "
+                            f"the depth's {coords.shape[:2]}")
     out, sample_valid = bilinear_sample(src_img, coords)
     valid = proj_valid & sample_valid
     if out.ndim == 2:

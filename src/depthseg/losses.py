@@ -35,7 +35,13 @@ class LossError(ValueError):
 @dataclass(frozen=True)
 class LossWeights:
     """Loss term weights. Defaults are the first-phase training values:
-    refined-map supervision and smoothness start disabled."""
+    refined-map supervision and smoothness start disabled.
+
+    Every field is read by a loss: ``gamma`` by the photometric loss and its
+    gradient, the ``lam_*`` weights by ``total_depth_loss`` and
+    ``total_seg_loss``, and ``beta1``/``beta2`` by ``total_loss``. The
+    shared-gradient mix takes its ``alpha`` as an argument of
+    ``combine_shared_gradients``."""
 
     beta1: float = 1.0
     beta2: float = 1.0
@@ -46,7 +52,6 @@ class LossWeights:
     lam_ps: float = 1.0
     lam_rfs: float = 0.0
     gamma: float = 0.85
-    alpha: float = 0.5
 
     def __post_init__(self):
         for name in self.__dataclass_fields__:
@@ -58,8 +63,6 @@ class LossWeights:
                 raise LossError(f"{name} must be >= 0")
         if not 0.0 <= self.gamma <= 1.0:
             raise LossError("gamma must lie in [0, 1]")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise LossError("alpha must lie in [0, 1]")
 
     @classmethod
     def from_config(cls, path) -> "LossWeights":

@@ -284,14 +284,14 @@ def split_confidence_by_consistency(depth: np.ndarray, y_refined: np.ndarray,
         states.append(RefineState(confident=mask & consistent,
                                   unreliable=mask & ~consistent))
     # the class ids are distinct, so the masks are disjoint and cover the
-    # image iff their counts add up to its size
+    # image iff their counts add up to its size; an uncovered pixel holds a
+    # value equal to no class id, fractional values included
     if covered != y_refined.size:
-        present = set(int(v) for v in np.unique(y_refined))
-        missing = present - set(classes.classes)
-        if missing:
-            raise RefineError(f"classes {sorted(missing)} present in the "
-                              "refined segmentation but absent from the "
-                              "class set")
+        present = np.unique(y_refined)
+        missing = present[~np.isin(present, classes.classes)]
+        raise RefineError(f"classes {missing.tolist()} present in the "
+                          "refined segmentation but absent from the class "
+                          "set")
     return states
 
 
@@ -305,16 +305,19 @@ def refine_depth_with_segmentation(depth: np.ndarray,
     wavefront, so a cap of N iterations caps every class at N."""
     depth = np.asarray(depth, dtype=np.float64)
     _check_depth(depth)
-    # per-pixel index of the state whose class holds it, -1 for none
+    # per-pixel index of the state whose class holds it, -1 for none, and
+    # the confident pixels of every class
     owner = np.full(depth.shape, -1, dtype=np.intp)
+    confident = np.zeros(depth.shape, dtype=bool)
     for i, st in enumerate(states):
         _check_same_shape(depth, st.confident, st.unreliable)
         mask = st.confident | st.unreliable
         if (mask & (owner >= 0)).any():
             raise RefineError("class states overlap")
         owner[mask] = i
+        confident |= st.confident
     if impl == "parallel":
-        return _refine_depth_parallel(depth, states, owner, cfg)
+        return _refine_depth_parallel(depth, owner, confident, cfg)
     if impl == "reference":
         out = depth.copy()
         for st in states:
@@ -324,14 +327,11 @@ def refine_depth_with_segmentation(depth: np.ndarray,
     raise RefineError(f"unknown impl {impl!r}")
 
 
-def _refine_depth_parallel(depth, states, owner, cfg):
-    unrel = np.zeros(depth.shape, dtype=bool)
+def _refine_depth_parallel(depth, owner, confident, cfg):
     # class index of each confident pixel, -1 elsewhere: a neighbor counts
     # iff its entry equals the pixel's own class index
-    conf_owner = np.full(depth.shape, -1, dtype=np.intp)
-    for i, st in enumerate(states):
-        unrel |= st.unreliable
-        conf_owner[st.confident] = i
+    conf_owner = np.where(confident, owner, -1)
+    unrel = (owner >= 0) & ~confident
     r = cfg.neighborhood_radius
     offsets = geometry._flat_offsets(r, depth.shape[1] + 2 * r)
     vals = _pad_flat(depth, r)

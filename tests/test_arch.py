@@ -97,3 +97,26 @@ def test_report_mentions_totals(tables):
     text = arch.report(tables, "l2", "resnet50")
     assert "seg-specific params" in text
     assert "25557032" in text
+
+
+def test_manifest_rejects_unknown_shared_layer():
+    text = arch._read_manifest_text().replace(
+        "l1 = upconv5 iconv5 upconv4", "l1 = upconv5 iconv5 upconv9")
+    with pytest.raises(ArchError, match=r"l1: shared layers \['upconv9'\]"):
+        load_tables(text)
+
+
+@pytest.mark.parametrize("level", arch.LEVELS)
+@pytest.mark.parametrize("encoder", arch.ENCODERS)
+def test_report_rows_add_up_to_branch_totals(tables, level, encoder):
+    text = arch.report(tables, level, encoder)
+    rows = {"shared": 0, "depth": 0, "seg": 0}
+    for line in text.splitlines():
+        # "  <part> <layer> <H>x<W> x<C> params <n>"
+        parts = line.split()
+        if len(parts) == 6 and parts[4] == "params":
+            rows[parts[0]] += int(parts[5])
+    shared, specific = arch.branch_param_totals(tables, level, encoder)
+    assert (rows["shared"], rows["seg"]) == (shared, specific)
+    assert f"shared decoder params   {shared}\n" in text
+    assert text.endswith(f"seg-specific params     {specific}")

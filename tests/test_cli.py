@@ -86,6 +86,17 @@ def test_synth_fractional_integer_exit_code_2(tmp_path, capsys, old, new):
     assert list(tmp_path.iterdir()) == [cfg]
 
 
+def test_synth_preview_writes_left_pgm(tmp_path):
+    cfg = tmp_path / "scene.cfg"
+    cfg.write_text(SCENE_CFG)
+    prefix = tmp_path / "s"
+    assert run(["synth", "--config", str(cfg), "--out-prefix", str(prefix),
+                "--preview"]) == 0
+    left = tensorio.load_tensor(str(prefix) + "_left.stn")
+    preview = tensorio.read_pgm_ppm(str(prefix) + "_left.pgm")
+    assert np.array_equal(preview.data, tensorio.to_u8(left).data)
+
+
 def test_synth_idempotent(tmp_path):
     prefix = write_scene(tmp_path)
     first = (str(prefix) + "_left.stn", )
@@ -114,6 +125,24 @@ def test_warp_matches_library(tmp_path, capsys):
                               geometry.Pose.stereo_baseline(0.4),
                               geometry.Camera(100, 100, 63.5, 31.5))
     assert np.allclose(warped, expect, atol=1e-6)
+
+
+def test_warp_source_of_another_size_exit_code_2(tmp_path, capsys):
+    tensorio.save_tensor(Tensor2D(np.zeros((8, 16), np.float32)),
+                         tmp_path / "src.stn")
+    tensorio.save_tensor(Tensor2D(np.full((8, 8), 3.0, np.float32)),
+                         tmp_path / "depth.stn")
+    cam_file = tmp_path / "cam.txt"
+    cam_file.write_text(CAMERA_TXT)
+    out, out_valid = tmp_path / "warped.stn", tmp_path / "valid.stn"
+    assert run(["warp", "--src", str(tmp_path / "src.stn"),
+                "--depth", str(tmp_path / "depth.stn"),
+                "--camera", str(cam_file),
+                "--out", str(out), "--out-valid", str(out_valid)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not the depth's (8, 8)" in captured.err
+    assert not out.exists() and not out_valid.exists()
 
 
 def refine_seg_inputs(tmp_path):
@@ -188,6 +217,32 @@ def test_loss_command_prints_value(tmp_path, capsys):
                 "--b", str(tmp_path / "b.stn"), "--gamma", "0"]) == 0
     out = capsys.readouterr().out
     assert float(out.split()[-1]) == pytest.approx(0.5)
+
+
+def test_removed_options_are_usage_errors(tmp_path, capsys):
+    # the loss command computes no total and no gradient mix, and the
+    # refine-depth segmenter's 64 buckets match the texture's stripe bands
+    prefix = write_scene(tmp_path)
+    capsys.readouterr()
+    loss = ["loss", "photometric", "--a", str(prefix) + "_left.stn",
+            "--b", str(prefix) + "_right.stn"]
+    refine_depth = ["refine-depth", "--depth", str(prefix) + "_depth.stn",
+                    "--y", str(prefix) + "_seg.stn",
+                    "--target", str(prefix) + "_left.stn",
+                    "--src", str(prefix) + "_right.stn",
+                    "--camera", str(tmp_path / "cam.txt"),
+                    "--out", str(tmp_path / "fixed.stn")]
+    for argv, option in ((loss, ["--alpha", "0.3"]),
+                         (loss, ["--beta1", "7"]),
+                         (loss, ["--beta2", "7"]),
+                         (refine_depth, ["--seg-levels", "32"])):
+        assert run(argv + option) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        # argparse reports unrecognized arguments with the root usage
+        assert captured.err.startswith("usage: depthseg ")
+        assert f"unrecognized arguments: {' '.join(option)}" in captured.err
+    assert not (tmp_path / "fixed.stn").exists()
 
 
 def test_loss_hint_nonfinite_depth_exit_code_2(tmp_path, capsys):
@@ -388,10 +443,44 @@ options:
 """
 
 
+REFINE_DEPTH_HELP = """\
+usage: depthseg refine-depth [-h] --depth DEPTH --y Y --target TARGET --src
+                             SRC --camera CAMERA [--th TH] [--radius RADIUS]
+                             --out OUT
+
+options:
+  -h, --help       show this help message and exit
+  --depth DEPTH
+  --y Y
+  --target TARGET
+  --src SRC
+  --camera CAMERA
+  --th TH
+  --radius RADIUS
+  --out OUT
+"""
+
+LOSS_HELP = """\
+usage: depthseg loss [-h] --a A --b B [--gamma GAMMA]
+                     {photometric,hint,smoothness,cross-entropy}
+
+positional arguments:
+  {photometric,hint,smoothness,cross-entropy}
+
+options:
+  -h, --help            show this help message and exit
+  --a A
+  --b B
+  --gamma GAMMA
+"""
+
+
 @pytest.mark.parametrize("argv, text", [
     (["--help"], ROOT_HELP),
     (["refine-seg", "--help"], REFINE_SEG_HELP),
-], ids=["root", "refine-seg"])
+    (["refine-depth", "--help"], REFINE_DEPTH_HELP),
+    (["loss", "--help"], LOSS_HELP),
+], ids=["root", "refine-seg", "refine-depth", "loss"])
 def test_help_text(monkeypatch, capsys, argv, text):
     # help is laid out for the terminal width when it is printed
     monkeypatch.setenv("COLUMNS", "80")

@@ -206,6 +206,16 @@ def test_warp_identity_is_noop():
     assert np.allclose(out, img, atol=1e-6)
 
 
+@pytest.mark.parametrize("src_shape", [(8, 16), (4, 4), (16, 8, 3)])
+def test_warp_rejects_source_of_another_size(src_shape):
+    # project bounds samples by the depth's size, so a wider source would
+    # never be sampled on its right and a smaller one would be sampled short
+    depth = np.full((8, 8), 3.0)
+    with pytest.raises(GeometryError, match=r"not the depth's \(8, 8\)"):
+        warp(np.zeros(src_shape), depth, Pose.identity(),
+             Camera(10, 10, 3.5, 3.5))
+
+
 def test_flip_postprocess_averages_interior():
     d = np.full((4, 100), 2.0)
     m = np.full((4, 100), 4.0)

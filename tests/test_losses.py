@@ -29,9 +29,14 @@ def rel_error(a, b):
 
 def test_weights_from_config(tmp_path):
     path = tmp_path / "weights.cfg"
-    path.write_text("gamma=0.9\nalpha=0.25\nlam_s=0.001\n")
+    path.write_text("gamma=0.9\nlam_s=0.001\n")
     w = LossWeights.from_config(path)
-    assert w.gamma == 0.9 and w.alpha == 0.25 and w.lam_s == 0.001
+    assert w.gamma == 0.9 and w.lam_s == 0.001
+    # the shared-gradient alpha is an argument of combine_shared_gradients,
+    # not a weight
+    path.write_text("gamma=0.9\nalpha=0.25\n")
+    with pytest.raises(LossError, match="weights.cfg:2: unknown key 'alpha'"):
+        LossWeights.from_config(path)
 
 
 def test_weights_from_config_rejects_unknown_key(tmp_path):
@@ -44,7 +49,7 @@ def test_weights_from_config_rejects_unknown_key(tmp_path):
         LossWeights.from_config(path)
 
 
-@pytest.mark.parametrize("field", ["lam_h", "gamma", "alpha", "beta1"])
+@pytest.mark.parametrize("field", ["lam_h", "gamma", "beta1", "beta2"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 def test_weights_reject_nonfinite(field, value):
     with pytest.raises(LossError, match=f"{field} must be finite"):
@@ -58,7 +63,7 @@ def test_weights_reject_nonfinite(field, value):
 ])
 def test_weights_from_config_rejects_bad_numbers(tmp_path, text, error):
     path = tmp_path / "weights.cfg"
-    path.write_text("alpha=0.25\n" + text + "\n")
+    path.write_text("gamma=0.9\n" + text + "\n")
     with pytest.raises(LossError, match=f"weights.cfg:2: {error}"):
         LossWeights.from_config(path)
 

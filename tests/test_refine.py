@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from depthseg import geometry
 from depthseg.refine import (ClassSet, RefineConfig, RefineError,
-                             RefineState, refine_depth_with_segmentation,
+                             RefineState, refine_depth_full,
+                             refine_depth_with_segmentation,
                              refine_segmentation_with_depth,
                              split_confidence_by_agreement,
                              split_confidence_by_consistency)
@@ -204,6 +206,32 @@ def test_split_by_consistency_rejects_unknown_class():
     with pytest.raises(RefineError, match=r"classes \[1, 3\] present"):
         split_confidence_by_consistency(depth, seg, seg, seg,
                                         np.ones((2, 3), bool), ClassSet((0,)))
+
+
+def _half_fractional_labels():
+    """A (4, 6) map: 12 pixels of class 0 and 12 of the non-class 1.5."""
+    seg = np.zeros((4, 6))
+    seg[:, 3:] = 1.5
+    return seg
+
+
+def test_split_by_consistency_rejects_fractional_labels():
+    # 1.5 is not class 1: the states would cover only 12 of the 24 pixels
+    seg = _half_fractional_labels()
+    with pytest.raises(RefineError, match=r"classes \[1\.5\] present"):
+        split_confidence_by_consistency(np.ones((4, 6)), seg, seg, seg,
+                                        np.ones((4, 6), bool),
+                                        ClassSet((0, 1)))
+
+
+def test_refine_depth_full_rejects_fractional_labels():
+    seg = _half_fractional_labels()
+    img = np.random.default_rng(2).random((4, 6))
+    with pytest.raises(RefineError, match=r"classes \[1\.5\] present"):
+        refine_depth_full(np.full((4, 6), 3.0), seg, img, img,
+                          geometry.Pose.identity(),
+                          geometry.Camera(10, 10, 2.5, 1.5),
+                          lambda im: np.zeros(np.shape(im), np.int32))
 
 
 def test_split_by_consistency_allows_absent_classes():
