@@ -17,7 +17,7 @@ conv it is tied to and adds no parameters of its own.
 from __future__ import annotations
 
 import importlib.resources
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 LEVELS = ("l0", "l1", "l2", "l3", "l4")
 ENCODERS = ("resnet18", "resnet50")
@@ -143,11 +143,8 @@ def load_tables(text: str | None = None,
     for lvl in LEVELS:
         layers = [_parse_layer(line) for line in sections[f"seg_{lvl}"]]
         if num_classes is not None:
-            layers = [LayerSpec(sp.name, sp.inputs, sp.kernel,
-                                num_classes if sp.name == "sconv3"
-                                else sp.out_channels,
-                                sp.batch_norm, sp.activation)
-                      for sp in layers]
+            layers = [replace(sp, out_channels=num_classes)
+                      if sp.name == "sconv3" else sp for sp in layers]
         shared = shared_lists.get(lvl, ())
         if not set(shared) <= trunk_names:
             raise ArchError(f"{lvl}: shared layers "

@@ -40,6 +40,9 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    # the subcommand parsers by name; set on the root parser only
+    commands: dict[str, "_Parser"]
+
     # argparse exits with status 2 on usage errors; remap to our convention
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -103,8 +106,7 @@ def cmd_refine_seg(args) -> int:
     y = _plane(_load(args.y), np.int32)
     y_hat = _plane(_load(args.yhat), np.int32)
     depth = _plane(_load(args.depth))
-    cfg = refine.RefineConfig(depth_threshold=args.th,
-                              neighborhood_radius=args.radius)
+    cfg = refine.RefineConfig(depth_threshold=args.th)
     refined = refine.refine_segmentation_with_depth(y, y_hat, depth, cfg)
     _save(refined, "i32", args.out)
     print(f"relabeled {int((refined != y).sum())} pixels")
@@ -117,8 +119,7 @@ def cmd_refine_depth(args) -> int:
     img_t = tensorio.to_float(_load(args.target)).data
     img_s = tensorio.to_float(_load(args.src)).data
     cam, pose = geometry.load_camera_pose(args.camera)
-    cfg = refine.RefineConfig(depth_threshold=args.th,
-                              neighborhood_radius=args.radius)
+    cfg = refine.RefineConfig(depth_threshold=args.th)
     segmenter = synth.intensity_segmenter()
     refined = refine.refine_depth_full(depth, y, img_t, img_s, pose, cam,
                                        segmenter, cfg)
@@ -180,6 +181,7 @@ def build_parser() -> _Parser:
                      description="Stereo depth + segmentation refinement "
                                  "toolbox")
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
     p = sub.add_parser("synth", help="render a synthetic stereo scene")
     p.add_argument("--config", required=True)
@@ -206,7 +208,6 @@ def build_parser() -> _Parser:
     p.add_argument("--th", type=float, default=None,
                    help="depth-difference threshold "
                         "(default: 5%% of median confident depth)")
-    p.add_argument("--radius", type=int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_refine_seg)
 
@@ -218,7 +219,6 @@ def build_parser() -> _Parser:
     p.add_argument("--src", required=True)
     p.add_argument("--camera", required=True)
     p.add_argument("--th", type=float, default=None)
-    p.add_argument("--radius", type=int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_refine_depth)
 
@@ -267,7 +267,11 @@ _DATA_ERRORS = (tensorio.TensorError, geometry.GeometryError,
 def main(argv=None) -> int:
     parser = _shared_parser()
     try:
-        args = parser.parse_args(argv)
+        args, extras = parser.parse_known_args(argv)
+        if extras:
+            # reported with the usage of the command that did not take them
+            parser.commands[args.command].error(
+                f"unrecognized arguments: {' '.join(extras)}")
     except _UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

@@ -14,11 +14,10 @@ columns, and never builds a coordinate field. Each pixel still gets the
 same arithmetic as the general sampler.
 
 The module also holds private helpers the other modules share: the
-Chebyshev-neighborhood offsets, as flat steps into a padded array for the
+8-neighborhood offsets, as flat steps into a padded array for the
 refinement wavefronts and as shifted views for ``synth.corrupt``'s bleed,
-the ``key=value`` text reader behind the scene and loss-weight files, and
-the non-empty, finite (and optionally positive) map check of every array
-entry point.
+and the non-empty, finite (and optionally positive) map check of every
+array entry point.
 """
 
 from __future__ import annotations
@@ -94,73 +93,36 @@ class DepthParams:
 
 def disparity_to_depth(sigma: np.ndarray, params: DepthParams) -> np.ndarray:
     sigma = np.asarray(sigma, dtype=np.float64)
-    if sigma.size and (sigma.min() < 0.0 or sigma.max() > 1.0):
+    # a NaN fails both comparisons, so it is rejected too
+    if sigma.size and not (0.0 <= sigma.min() and sigma.max() <= 1.0):
         raise GeometryError("disparity values must lie in [0, 1]")
     return 1.0 / (params.c1 * sigma + params.c2)
 
 
-def _neighbor_offsets(radius: int) -> list[tuple[int, int]]:
-    # raster order; the center is excluded (it is never confident while the
-    # pixel itself is unreliable)
-    return [(dr, dc)
-            for dr in range(-radius, radius + 1)
-            for dc in range(-radius, radius + 1)
-            if (dr, dc) != (0, 0)]
+# the 8-neighborhood in raster order; the center is excluded (it is never
+# confident while the pixel itself is unreliable)
+_NEIGHBOR_OFFSETS = tuple((dr, dc) for dr in (-1, 0, 1) for dc in (-1, 0, 1)
+                          if (dr, dc) != (0, 0))
 
 
-def _flat_offsets(radius: int, width: int) -> np.ndarray:
-    """The ``_neighbor_offsets`` as steps into a flattened array of row
-    length ``width``, in the same raster order. In an image padded by
-    ``radius`` on every side, no step from an image pixel leaves the
-    padded array or wraps onto another row."""
-    return np.array([dr * width + dc for dr, dc in _neighbor_offsets(radius)],
+def _flat_offsets(width: int) -> np.ndarray:
+    """The ``_NEIGHBOR_OFFSETS`` as steps into a flattened array of row
+    length ``width``, in the same raster order. In an image padded by one
+    pixel on every side, no step from an image pixel leaves the padded
+    array or wraps onto another row."""
+    return np.array([dr * width + dc for dr, dc in _NEIGHBOR_OFFSETS],
                     dtype=np.intp)
 
 
-def _neighbor_views(arr: np.ndarray, radius: int, fill):
-    """Yield, for each offset (dr, dc) in ``_neighbor_offsets`` order, an
+def _neighbor_views(arr: np.ndarray, fill):
+    """Yield, for each offset (dr, dc) in ``_NEIGHBOR_OFFSETS`` order, an
     (H, W) view holding every pixel's neighbor at that offset; neighbors
     outside the image read ``fill``. The array is padded once per call.
     ``synth.corrupt``'s bleed reads the whole image this way."""
     h, w = arr.shape
-    padded = np.pad(arr, radius, constant_values=fill)
-    for dr, dc in _neighbor_offsets(radius):
-        yield padded[radius + dr:radius + dr + h, radius + dc:radius + dc + w]
-
-
-def _key_values(path, error: type[Exception]):
-    """Yield (lineno, key, value) for each ``key=value`` line of a text file.
-
-    ``#`` starts a comment, and blank lines are skipped. A line without
-    ``=`` raises ``error``.
-    """
-    with open(path) as f:
-        lines = f.readlines()
-    for lineno, line in enumerate(lines, 1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise error(f"{path}:{lineno}: expected key=value")
-        key, value = (part.strip() for part in line.split("=", 1))
-        yield lineno, key, value
-
-
-def _number(path, lineno: int, text: str, error: type[Exception],
-            integer: bool = False) -> float | int:
-    """The finite number a ``key=value`` line holds, or an int when
-    ``integer``. Anything else raises ``error`` with ``path:lineno``."""
-    try:
-        x = float(text)
-    except ValueError:
-        raise error(f"{path}:{lineno}: {text!r} is not a number") from None
-    if not math.isfinite(x):
-        raise error(f"{path}:{lineno}: {text!r} is not finite")
-    if integer:
-        if not x.is_integer():
-            raise error(f"{path}:{lineno}: {text!r} is not an integer")
-        return int(x)
-    return x
+    padded = np.pad(arr, 1, constant_values=fill)
+    for dr, dc in _NEIGHBOR_OFFSETS:
+        yield padded[1 + dr:1 + dr + h, 1 + dc:1 + dc + w]
 
 
 def _check_map(arr: np.ndarray, error: type[Exception], message: str,

@@ -21,7 +21,7 @@ entries, not an (H, W, K) one-hot map.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,19 +63,6 @@ class LossWeights:
                 raise LossError(f"{name} must be >= 0")
         if not 0.0 <= self.gamma <= 1.0:
             raise LossError("gamma must lie in [0, 1]")
-
-    @classmethod
-    def from_config(cls, path) -> "LossWeights":
-        """Parse a flat key=value file; unknown keys and values that are not
-        finite numbers are rejected with their line."""
-        weights = cls()
-        fields = set(weights.__dataclass_fields__)
-        overrides = {}
-        for lineno, key, value in geometry._key_values(path, LossError):
-            if key not in fields:
-                raise LossError(f"{path}:{lineno}: unknown key {key!r}")
-            overrides[key] = geometry._number(path, lineno, value, LossError)
-        return replace(weights, **overrides)
 
 
 SSIM_WINDOW = 3

@@ -81,12 +81,15 @@ def evaluate_depth(pred, gt, gt_valid=None,
 
 def reprojection_error(tracked, gt) -> tuple[float, float]:
     """Mean and population standard deviation of the Euclidean distances
-    between tracked 2D points and their ground-truth positions."""
+    between tracked 2D points and their ground-truth positions. A NaN or
+    infinite coordinate in either list raises ``MetricsError``."""
     tracked = np.asarray(tracked, dtype=np.float64).reshape(-1, 2)
     gt = np.asarray(gt, dtype=np.float64).reshape(-1, 2)
     if tracked.shape != gt.shape:
         raise MetricsError("point lists must have equal length")
     if tracked.shape[0] == 0:
         raise MetricsError("empty point lists")
+    for points in (tracked, gt):
+        geometry._check_map(points, MetricsError, "points must be finite")
     dist = np.linalg.norm(tracked - gt, axis=1)
     return float(dist.mean()), float(dist.std())

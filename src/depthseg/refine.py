@@ -3,8 +3,8 @@
 Both refinement passes share the same propagation scheme: a per-pixel
 partition into a confident set and an unreliable set, and synchronous
 wavefront iterations in which every unreliable pixel that sees at least one
-confident neighbor (Chebyshev neighborhood of the previous iteration's
-confident set) is updated and becomes confident itself.
+confident neighbor (8-neighborhood of the previous iteration's confident
+set) is updated and becomes confident itself.
 
 A pass runs until an iteration confirms no pixel, or for at most
 ``RefineConfig.max_iterations`` iterations when that is set.
@@ -50,23 +50,16 @@ class RefineConfig:
     """
 
     depth_threshold: float | None = None
-    neighborhood_radius: int = 1
     max_iterations: int | None = None
 
     def __post_init__(self):
         if self.depth_threshold is not None and not self.depth_threshold > 0:
             raise RefineError("depth_threshold must be positive")
-        if not _is_count(self.neighborhood_radius):
-            raise RefineError("neighborhood_radius must be an int >= 1")
         cap = self.max_iterations
-        if cap is not None and not _is_count(cap):
+        if cap is not None and not (isinstance(cap, (int, np.integer))
+                                    and not isinstance(cap, bool)
+                                    and cap >= 1):
             raise RefineError("max_iterations must be None or an int >= 1")
-
-
-def _is_count(value) -> bool:
-    """An int (not a bool) >= 1."""
-    return (isinstance(value, (int, np.integer))
-            and not isinstance(value, bool) and value >= 1)
 
 
 @dataclass
@@ -79,17 +72,6 @@ class RefineState:
     def __post_init__(self):
         if (self.confident & self.unreliable).any():
             raise RefineError("confident and unreliable sets overlap")
-
-
-@dataclass(frozen=True)
-class ClassSet:
-    classes: tuple[int, ...]
-
-    def __post_init__(self):
-        ids = tuple(int(c) for c in self.classes)
-        if len(set(ids)) != len(ids):
-            raise RefineError("duplicate class ids")
-        object.__setattr__(self, "classes", ids)
 
 
 def _check_same_shape(*arrays):
@@ -153,11 +135,11 @@ def _iterations(cfg: RefineConfig):
     return range(cfg.max_iterations)
 
 
-def _pad_flat(arr: np.ndarray, radius: int, fill=0) -> np.ndarray:
-    """``arr`` padded by ``radius`` with ``fill`` on every side, flattened."""
+def _pad_flat(arr: np.ndarray, fill=0) -> np.ndarray:
+    """``arr`` padded by one pixel of ``fill`` on every side, flattened."""
     h, w = arr.shape
-    out = np.full((h + 2 * radius, w + 2 * radius), fill, dtype=arr.dtype)
-    out[radius:radius + h, radius:radius + w] = arr
+    out = np.full((h + 2, w + 2), fill, dtype=arr.dtype)
+    out[1:-1, 1:-1] = arr
     return out.ravel()
 
 
@@ -176,18 +158,16 @@ def _next_frontier(new: np.ndarray, offsets: np.ndarray, open_: np.ndarray,
     return nb[slot[nb] == pos]
 
 
-def _unpad(flat: np.ndarray, shape: tuple[int, int], radius: int):
+def _unpad(flat: np.ndarray, shape: tuple[int, int]):
     h, w = shape
-    padded = flat.reshape(h + 2 * radius, w + 2 * radius)
-    return padded[radius:radius + h, radius:radius + w].copy()
+    return flat.reshape(h + 2, w + 2)[1:-1, 1:-1].copy()
 
 
 def _refine_seg_parallel(y, confident, depth, threshold, cfg):
-    r = cfg.neighborhood_radius
-    offsets = geometry._flat_offsets(r, depth.shape[1] + 2 * r)
-    labels = _pad_flat(y, r)
-    dep = _pad_flat(depth, r, np.inf)
-    open_ = _pad_flat(~confident, r, False)
+    offsets = geometry._flat_offsets(depth.shape[1] + 2)
+    labels = _pad_flat(y)
+    dep = _pad_flat(depth, np.inf)
+    open_ = _pad_flat(~confident, False)
     # depth of the confident pixels and +inf elsewhere: the gap to a pixel
     # that is not confident is +inf, so it is never the closest
     conf_dep = np.where(open_, np.inf, dep)
@@ -217,15 +197,13 @@ def _refine_seg_parallel(y, confident, depth, threshold, cfg):
         labels[cand[relabel]] = labels[best_nb[relabel]]
         conf_dep[new] = dep[new]
         cand = _next_frontier(new, offsets, open_, slot)
-    return _unpad(labels, depth.shape, r)
+    return _unpad(labels, depth.shape)
 
 
 def _refine_seg_reference(y, confident, depth, threshold, cfg):
     labels = y.copy()
     conf = confident.copy()
     h, w = depth.shape
-    r = cfg.neighborhood_radius
-    offsets = geometry._neighbor_offsets(r)
     for _ in _iterations(cfg):
         prev_labels = labels.copy()
         prev_conf = conf.copy()
@@ -236,7 +214,7 @@ def _refine_seg_reference(y, confident, depth, threshold, cfg):
                     continue
                 best_diff = np.inf
                 best_label = None
-                for dr, dc in offsets:
+                for dr, dc in geometry._NEIGHBOR_OFFSETS:
                     ni, nj = i + dr, j + dc
                     if not (0 <= ni < h and 0 <= nj < w):
                         continue
@@ -260,10 +238,10 @@ def _refine_seg_reference(y, confident, depth, threshold, cfg):
 def split_confidence_by_consistency(depth: np.ndarray, y_refined: np.ndarray,
                                     y_t: np.ndarray, y_st: np.ndarray,
                                     warp_valid: np.ndarray,
-                                    classes: ClassSet | Sequence[int]
+                                    classes: Sequence[int]
                                     ) -> list[RefineState]:
     """Per-class partition of depth pixels by cross-view label consistency,
-    one state per class in ``classes`` order.
+    one state per class id in ``classes`` order; the ids must be distinct.
 
     A pixel of class k is confident iff the target-view and warped-view
     labels agree and the warp sample was valid; warp-invalid pixels are
@@ -273,12 +251,13 @@ def split_confidence_by_consistency(depth: np.ndarray, y_refined: np.ndarray,
     y_refined = np.asarray(y_refined)
     _check_same_shape(depth, y_refined, np.asarray(y_t), np.asarray(y_st),
                       np.asarray(warp_valid))
-    if not isinstance(classes, ClassSet):
-        classes = ClassSet(tuple(int(c) for c in classes))
+    classes = [int(c) for c in classes]
+    if len(set(classes)) != len(classes):
+        raise RefineError("duplicate class ids")
     consistent = (np.asarray(y_t) == np.asarray(y_st)) & np.asarray(warp_valid)
     states = []
     covered = 0
-    for k in classes.classes:
+    for k in classes:
         mask = y_refined == k
         covered += np.count_nonzero(mask)
         states.append(RefineState(confident=mask & consistent,
@@ -288,7 +267,7 @@ def split_confidence_by_consistency(depth: np.ndarray, y_refined: np.ndarray,
     # value equal to no class id, fractional values included
     if covered != y_refined.size:
         present = np.unique(y_refined)
-        missing = present[~np.isin(present, classes.classes)]
+        missing = present[~np.isin(present, classes)]
         raise RefineError(f"classes {missing.tolist()} present in the "
                           "refined segmentation but absent from the class "
                           "set")
@@ -332,12 +311,11 @@ def _refine_depth_parallel(depth, owner, confident, cfg):
     # iff its entry equals the pixel's own class index
     conf_owner = np.where(confident, owner, -1)
     unrel = (owner >= 0) & ~confident
-    r = cfg.neighborhood_radius
-    offsets = geometry._flat_offsets(r, depth.shape[1] + 2 * r)
-    vals = _pad_flat(depth, r)
-    owner = _pad_flat(owner, r, -1)
-    conf_owner = _pad_flat(conf_owner, r, -1)
-    open_ = _pad_flat(unrel, r, False)
+    offsets = geometry._flat_offsets(depth.shape[1] + 2)
+    vals = _pad_flat(depth)
+    owner = _pad_flat(owner, -1)
+    conf_owner = _pad_flat(conf_owner, -1)
+    open_ = _pad_flat(unrel, False)
     slot = np.empty(open_.size, dtype=np.intp)
     cand = np.flatnonzero(open_)
     for _ in _iterations(cfg):
@@ -359,7 +337,7 @@ def _refine_depth_parallel(depth, owner, confident, cfg):
                                c_min[confirmed])
         conf_owner[new] = owner[new]
         cand = _next_frontier(new, offsets, open_, slot)
-    return _unpad(vals, depth.shape, r)
+    return _unpad(vals, depth.shape)
 
 
 def _refine_depth_class_reference(depth, st, cfg):
@@ -368,7 +346,6 @@ def _refine_depth_class_reference(depth, st, cfg):
     unrel = st.unreliable.copy()
     class_mask = st.confident | st.unreliable
     h, w = depth.shape
-    offsets = geometry._neighbor_offsets(cfg.neighborhood_radius)
     for _ in _iterations(cfg):
         prev_vals = vals.copy()
         prev_conf = conf.copy()
@@ -379,7 +356,7 @@ def _refine_depth_class_reference(depth, st, cfg):
                     continue
                 c_min = np.inf
                 c_max = -np.inf
-                for dr, dc in offsets:
+                for dr, dc in geometry._NEIGHBOR_OFFSETS:
                     ni, nj = i + dr, j + dc
                     if not (0 <= ni < h and 0 <= nj < w):
                         continue
@@ -406,7 +383,7 @@ def refine_depth_full(depth: np.ndarray, y_refined: np.ndarray,
                       pose: geometry.Pose, cam: geometry.Camera,
                       segmenter: Segmenter,
                       cfg: RefineConfig = RefineConfig(),
-                      classes: ClassSet | Sequence[int] | None = None,
+                      classes: Sequence[int] | None = None,
                       impl: str = "parallel") -> np.ndarray:
     """Full depth refinement pass: warp the source view, segment both views,
     split by consistency, then propagate confident depth within each
@@ -418,7 +395,7 @@ def refine_depth_full(depth: np.ndarray, y_refined: np.ndarray,
     if y_t.shape != depth.shape or y_st.shape != depth.shape:
         raise RefineError("segmenter output shape mismatch")
     if classes is None:
-        classes = ClassSet(tuple(int(c) for c in np.unique(y_refined)))
+        classes = np.unique(y_refined)
     states = split_confidence_by_consistency(depth, y_refined, y_t, y_st,
                                              valid, classes)
     return refine_depth_with_segmentation(depth, states, cfg, impl=impl)

@@ -14,6 +14,10 @@ pixel with the index, seed and disparity of its own surface. Texture, the
 dominant cost, is therefore evaluated once per pixel per view, whatever the
 number of surfaces; the z-buffer pass costs a few cheap (H, W) array
 operations per surface.
+
+``parse_scene_config`` reads a scene and its corruption from a flat text
+file of ``key=value`` lines, where ``#`` starts a comment. Each value must be
+a finite number, and an error names the file and line it comes from.
 """
 
 from __future__ import annotations
@@ -23,8 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import (Camera, _check_map, _key_values, _neighbor_views,
-                       _number)
+from .geometry import Camera, _check_map, _neighbor_views
 
 
 class SynthError(ValueError):
@@ -266,7 +269,7 @@ def corrupt(gt_depth: np.ndarray, gt_seg: np.ndarray,
     for _ in range(cspec.bleed_width):
         # where two bleeds meet, the nearer foreground depth wins
         nb_min = np.full(depth.shape, np.inf)
-        for nb in _neighbor_views(np.where(fg, depth, np.inf), 1, np.inf):
+        for nb in _neighbor_views(np.where(fg, depth, np.inf), np.inf):
             np.minimum(nb_min, nb, out=nb_min)
         grow = ~fg & np.isfinite(nb_min)
         depth[grow] = nb_min[grow]
@@ -292,6 +295,42 @@ class SceneConfig:
     corruption: CorruptionSpec = field(default_factory=CorruptionSpec)
 
 
+def _key_values(path):
+    """Yield (lineno, key, value) for each ``key=value`` line of a text file.
+
+    ``#`` starts a comment, and blank lines are skipped. A line without
+    ``=`` raises ``SynthError``.
+    """
+    with open(path) as f:
+        lines = f.readlines()
+    for lineno, line in enumerate(lines, 1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise SynthError(f"{path}:{lineno}: expected key=value")
+        key, value = (part.strip() for part in line.split("=", 1))
+        yield lineno, key, value
+
+
+def _number(path, lineno: int, text: str,
+            integer: bool = False) -> float | int:
+    """The finite number a ``key=value`` line holds, or an int when
+    ``integer``. Anything else raises ``SynthError`` with ``path:lineno``."""
+    try:
+        x = float(text)
+    except ValueError:
+        raise SynthError(
+            f"{path}:{lineno}: {text!r} is not a number") from None
+    if not math.isfinite(x):
+        raise SynthError(f"{path}:{lineno}: {text!r} is not finite")
+    if integer:
+        if not x.is_integer():
+            raise SynthError(f"{path}:{lineno}: {text!r} is not an integer")
+        return int(x)
+    return x
+
+
 _INTEGER_KEYS = frozenset({"height", "width", "background_class",
                            "background_texture_seed", "bleed_width", "seed"})
 
@@ -309,21 +348,19 @@ def parse_scene_config(path) -> SceneConfig:
     """
     values: dict[str, float | int] = {}
     objects: list[ObjectSpec] = []
-    for lineno, key, value in _key_values(path, SynthError):
+    for lineno, key, value in _key_values(path):
         if key == "object":
             shape, *fields = (p.strip() for p in value.split(","))
             n_params = {"rect": 4, "disk": 3}.get(shape)
             if n_params is None or len(fields) != n_params + 3:
                 raise SynthError(f"{path}:{lineno}: malformed object")
-            *params, depth = (_number(path, lineno, p, SynthError)
-                              for p in fields[:-2])
-            class_id, seed = (_number(path, lineno, p, SynthError, True)
+            *params, depth = (_number(path, lineno, p) for p in fields[:-2])
+            class_id, seed = (_number(path, lineno, p, True)
                               for p in fields[-2:])
             objects.append(ObjectSpec(shape, tuple(params), depth, class_id,
                                       seed))
         else:
-            values[key] = _number(path, lineno, value, SynthError,
-                                  key in _INTEGER_KEYS)
+            values[key] = _number(path, lineno, value, key in _INTEGER_KEYS)
     try:
         scene = SceneSpec(
             height=values.pop("height"),

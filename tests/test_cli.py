@@ -220,12 +220,17 @@ def test_loss_command_prints_value(tmp_path, capsys):
 
 
 def test_removed_options_are_usage_errors(tmp_path, capsys):
-    # the loss command computes no total and no gradient mix, and the
-    # refine-depth segmenter's 64 buckets match the texture's stripe bands
+    # the loss command computes no total and no gradient mix, the
+    # refine-depth segmenter's 64 buckets match the texture's stripe bands,
+    # and both refinements use the 8-neighborhood
     prefix = write_scene(tmp_path)
     capsys.readouterr()
     loss = ["loss", "photometric", "--a", str(prefix) + "_left.stn",
             "--b", str(prefix) + "_right.stn"]
+    refine_seg = ["refine-seg", "--y", str(prefix) + "_seg_corrupt.stn",
+                  "--yhat", str(prefix) + "_seg.stn",
+                  "--depth", str(prefix) + "_depth.stn",
+                  "--out", str(tmp_path / "fixed.stn")]
     refine_depth = ["refine-depth", "--depth", str(prefix) + "_depth.stn",
                     "--y", str(prefix) + "_seg.stn",
                     "--target", str(prefix) + "_left.stn",
@@ -235,12 +240,14 @@ def test_removed_options_are_usage_errors(tmp_path, capsys):
     for argv, option in ((loss, ["--alpha", "0.3"]),
                          (loss, ["--beta1", "7"]),
                          (loss, ["--beta2", "7"]),
-                         (refine_depth, ["--seg-levels", "32"])):
+                         (refine_depth, ["--seg-levels", "32"]),
+                         (refine_seg, ["--radius", "2"]),
+                         (refine_depth, ["--radius", "2"])):
         assert run(argv + option) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        # argparse reports unrecognized arguments with the root usage
-        assert captured.err.startswith("usage: depthseg ")
+        # the usage shown is that of the command given the option
+        assert captured.err.startswith(f"usage: depthseg {argv[0]} ")
         assert f"unrecognized arguments: {' '.join(option)}" in captured.err
     assert not (tmp_path / "fixed.stn").exists()
 
@@ -429,24 +436,22 @@ options:
 
 REFINE_SEG_HELP = """\
 usage: depthseg refine-seg [-h] --y Y --yhat YHAT --depth DEPTH [--th TH]
-                           [--radius RADIUS] --out OUT
+                           --out OUT
 
 options:
-  -h, --help       show this help message and exit
+  -h, --help     show this help message and exit
   --y Y
   --yhat YHAT
   --depth DEPTH
-  --th TH          depth-difference threshold (default: 5% of median confident
-                   depth)
-  --radius RADIUS
+  --th TH        depth-difference threshold (default: 5% of median confident
+                 depth)
   --out OUT
 """
 
 
 REFINE_DEPTH_HELP = """\
 usage: depthseg refine-depth [-h] --depth DEPTH --y Y --target TARGET --src
-                             SRC --camera CAMERA [--th TH] [--radius RADIUS]
-                             --out OUT
+                             SRC --camera CAMERA [--th TH] --out OUT
 
 options:
   -h, --help       show this help message and exit
@@ -456,7 +461,6 @@ options:
   --src SRC
   --camera CAMERA
   --th TH
-  --radius RADIUS
   --out OUT
 """
 

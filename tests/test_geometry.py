@@ -115,9 +115,10 @@ def test_disparity_to_depth_endpoints():
     assert d[1] == pytest.approx(1.0 / 100.1)
 
 
-def test_disparity_out_of_range_rejected():
-    with pytest.raises(GeometryError):
-        disparity_to_depth(np.array([1.5]), DepthParams(0.1, 100.0))
+@pytest.mark.parametrize("sigma", [[1.5], [-0.1, 0.5], [0.5, np.nan]])
+def test_disparity_out_of_range_rejected(sigma):
+    with pytest.raises(GeometryError, match=r"must lie in \[0, 1\]"):
+        disparity_to_depth(np.array([sigma]), DepthParams(0.1, 100.0))
 
 
 def test_load_camera_pose(tmp_path):

@@ -27,45 +27,11 @@ def rel_error(a, b):
     return np.abs(a - b).max() / max(np.abs(b).max(), 1e-8)
 
 
-def test_weights_from_config(tmp_path):
-    path = tmp_path / "weights.cfg"
-    path.write_text("gamma=0.9\nlam_s=0.001\n")
-    w = LossWeights.from_config(path)
-    assert w.gamma == 0.9 and w.lam_s == 0.001
-    # the shared-gradient alpha is an argument of combine_shared_gradients,
-    # not a weight
-    path.write_text("gamma=0.9\nalpha=0.25\n")
-    with pytest.raises(LossError, match="weights.cfg:2: unknown key 'alpha'"):
-        LossWeights.from_config(path)
-
-
-def test_weights_from_config_rejects_unknown_key(tmp_path):
-    path = tmp_path / "weights.cfg"
-    path.write_text("nope=1\n")
-    with pytest.raises(LossError):
-        LossWeights.from_config(path)
-    path.write_text("# weights\n\ngamma 0.9\n")
-    with pytest.raises(LossError, match="weights.cfg:3: expected key=value"):
-        LossWeights.from_config(path)
-
-
 @pytest.mark.parametrize("field", ["lam_h", "gamma", "beta1", "beta2"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 def test_weights_reject_nonfinite(field, value):
     with pytest.raises(LossError, match=f"{field} must be finite"):
         LossWeights(**{field: value})
-
-
-@pytest.mark.parametrize("text, error", [
-    ("lam_h=nan", "'nan' is not finite"),
-    ("lam_s=-inf", "'-inf' is not finite"),
-    ("gamma=abc", "'abc' is not a number"),
-])
-def test_weights_from_config_rejects_bad_numbers(tmp_path, text, error):
-    path = tmp_path / "weights.cfg"
-    path.write_text("gamma=0.9\n" + text + "\n")
-    with pytest.raises(LossError, match=f"weights.cfg:2: {error}"):
-        LossWeights.from_config(path)
 
 
 def test_ssim_identical_images_is_one():

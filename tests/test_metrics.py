@@ -77,6 +77,16 @@ def test_reprojection_error_rejects_length_mismatch():
         reprojection_error(np.zeros((2, 2)), np.zeros((3, 2)))
 
 
+@pytest.mark.parametrize("side", ["tracked", "gt"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_reprojection_error_rejects_nonfinite_points(side, bad):
+    points = {"tracked": np.array([[0.0, 0.0], [1.0, 1.0]]),
+              "gt": np.array([[0.0, 0.0], [1.0, 1.0]])}
+    points[side][1, 0] = bad
+    with pytest.raises(MetricsError, match="points must be finite"):
+        reprojection_error(points["tracked"], points["gt"])
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_nonfinite_prediction_rejected(bad):
     gt = np.full((4, 4), 5.0)

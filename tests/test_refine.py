@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from depthseg import geometry
-from depthseg.refine import (ClassSet, RefineConfig, RefineError,
-                             RefineState, refine_depth_full,
+from depthseg.refine import (RefineConfig, RefineError, RefineState,
+                             refine_depth_full,
                              refine_depth_with_segmentation,
                              refine_segmentation_with_depth,
                              split_confidence_by_agreement,
@@ -13,8 +13,9 @@ from depthseg.refine import (ClassSet, RefineConfig, RefineError,
 def test_config_validation():
     with pytest.raises(RefineError):
         RefineConfig(depth_threshold=0.0)
-    with pytest.raises(RefineError):
-        RefineConfig(neighborhood_radius=0)
+    # the neighborhood is the 8-neighborhood; no setting changes it
+    with pytest.raises(TypeError):
+        RefineConfig(neighborhood_radius=1)
 
 
 def test_config_max_iterations_validation():
@@ -24,15 +25,6 @@ def test_config_max_iterations_validation():
     for bad in (0, -1, 2.5, True, "3"):
         with pytest.raises(RefineError):
             RefineConfig(max_iterations=bad)
-
-
-def test_config_neighborhood_radius_validation():
-    for radius in (1, 3, np.int64(2)):
-        assert RefineConfig(neighborhood_radius=radius).neighborhood_radius \
-            == radius
-    for bad in (0, -1, 1.5, 2.0, True, "2"):
-        with pytest.raises(RefineError):
-            RefineConfig(neighborhood_radius=bad)
 
 
 def test_split_by_agreement():
@@ -195,7 +187,7 @@ def test_split_by_consistency_marks_invalid_warp_unreliable():
     y_st = np.zeros((2, 2), int)
     valid = np.array([[True, False], [True, True]])
     states = split_confidence_by_consistency(depth, seg, y_t, y_st, valid,
-                                             ClassSet((0,)))
+                                             (0,))
     assert states[0].unreliable[0, 1]
     assert states[0].confident.sum() == 3
 
@@ -205,7 +197,7 @@ def test_split_by_consistency_rejects_unknown_class():
     seg = np.array([[0, 3, 1], [0, 1, 3]])
     with pytest.raises(RefineError, match=r"classes \[1, 3\] present"):
         split_confidence_by_consistency(depth, seg, seg, seg,
-                                        np.ones((2, 3), bool), ClassSet((0,)))
+                                        np.ones((2, 3), bool), (0,))
 
 
 def _half_fractional_labels():
@@ -221,7 +213,7 @@ def test_split_by_consistency_rejects_fractional_labels():
     with pytest.raises(RefineError, match=r"classes \[1\.5\] present"):
         split_confidence_by_consistency(np.ones((4, 6)), seg, seg, seg,
                                         np.ones((4, 6), bool),
-                                        ClassSet((0, 1)))
+                                        (0, 1))
 
 
 def test_refine_depth_full_rejects_fractional_labels():
@@ -239,21 +231,28 @@ def test_split_by_consistency_allows_absent_classes():
     seg = np.array([[0, 2], [0, 2]])
     states = split_confidence_by_consistency(depth, seg, seg, seg,
                                              np.ones((2, 2), bool),
-                                             ClassSet((2, 1, 0)))
+                                             (2, 1, 0))
     assert [int(st.confident.sum()) for st in states] == [2, 0, 2]
     assert not any(st.unreliable.any() for st in states)
 
 
-@pytest.mark.parametrize("radius", [1, 2])
-def test_parallel_matches_reference(radius):
+def test_split_by_consistency_rejects_duplicate_classes():
+    seg = np.zeros((2, 2), int)
+    with pytest.raises(RefineError, match="duplicate class ids"):
+        split_confidence_by_consistency(np.ones((2, 2)), seg, seg, seg,
+                                        np.ones((2, 2), bool), (0, 1, 0))
+
+
+def test_parallel_matches_reference():
     rng = np.random.default_rng(11)
-    for _ in range(20):
-        h, w = rng.integers(2, 17, 2)
+    # 20 images up to 16x16, then 10 of 1-3 pixels a side, where nearly
+    # every pixel has neighbors in the padding
+    for i in range(30):
+        h, w = rng.integers(2, 17, 2) if i < 20 else rng.integers(1, 4, 2)
         depth = rng.random((h, w)) * 8 + 0.5
         y = rng.integers(0, 4, (h, w))
         y_hat = rng.integers(0, 4, (h, w))
-        cfg = RefineConfig(depth_threshold=float(rng.random() * 0.6 + 0.01),
-                           neighborhood_radius=radius)
+        cfg = RefineConfig(depth_threshold=float(rng.random() * 0.6 + 0.01))
         a = refine_segmentation_with_depth(y, y_hat, depth, cfg, "parallel")
         b = refine_segmentation_with_depth(y, y_hat, depth, cfg, "reference")
         assert np.array_equal(a, b)
@@ -265,24 +264,6 @@ def test_parallel_matches_reference(radius):
         states = [RefineState(confident=(seg == k) & conf,
                               unreliable=(seg == k) & ~conf)
                   for k in range(3)]
-        a = refine_depth_with_segmentation(depth, states, cfg, "parallel")
-        b = refine_depth_with_segmentation(depth, states, cfg, "reference")
-        assert np.array_equal(a, b)
-
-
-def test_radius_wider_than_image_matches_reference():
-    rng = np.random.default_rng(5)
-    cfg = RefineConfig(depth_threshold=0.3, neighborhood_radius=4)
-    for _ in range(10):
-        h, w = rng.integers(1, 4, 2)
-        depth = rng.random((h, w)) + 1
-        y = rng.integers(0, 3, (h, w))
-        y_hat = rng.integers(0, 3, (h, w))
-        a = refine_segmentation_with_depth(y, y_hat, depth, cfg, "parallel")
-        b = refine_segmentation_with_depth(y, y_hat, depth, cfg, "reference")
-        assert np.array_equal(a, b)
-        states = split_confidence_by_consistency(
-            depth, y, y, y_hat, np.ones((h, w), bool), range(3))
         a = refine_depth_with_segmentation(depth, states, cfg, "parallel")
         b = refine_depth_with_segmentation(depth, states, cfg, "reference")
         assert np.array_equal(a, b)
@@ -320,18 +301,18 @@ def test_depth_long_strip_reaches_fixed_point(impl):
     assert (out == 2.0).all()
 
 
-def _wavefront_depth(confident, candidates, radius):
+def _wavefront_depth(confident, candidates):
     """Iterations a wavefront from ``confident`` takes to reach every
-    candidate it can reach, counted by repeated dilation."""
+    candidate it can reach, counted by repeated 3x3 dilation."""
     h, w = confident.shape
     reached = confident.copy()
     todo = candidates & ~confident
     iterations = 0
     while True:
-        padded = np.pad(reached, radius)
+        padded = np.pad(reached, 1)
         grown = np.zeros_like(reached)
-        for dr in range(2 * radius + 1):
-            for dc in range(2 * radius + 1):
+        for dr in range(3):
+            for dc in range(3):
                 grown |= padded[dr:dr + h, dc:dc + w]
         step = grown & todo
         if not step.any():
@@ -341,10 +322,10 @@ def _wavefront_depth(confident, candidates, radius):
         iterations += 1
 
 
-@pytest.mark.parametrize("radius", [1, 2, 3])
-def test_parallel_matches_reference_at_every_cap(radius):
-    rng = np.random.default_rng(100 + radius)
-    # 1-pixel-wide images, and 2x2 where every radius is wider than the image
+def test_parallel_matches_reference_at_every_cap():
+    rng = np.random.default_rng(101)
+    # 1-pixel-wide and 1-pixel-tall images, and 2x2, where the padding at
+    # the image edge is next to every pixel
     for h, w in ((9, 13), (12, 7), (1, 17), (15, 1), (2, 2)):
         depth = rng.random((h, w)) * 4 + 1
         conf = rng.random((h, w)) < 0.15
@@ -352,10 +333,10 @@ def test_parallel_matches_reference_at_every_cap(radius):
 
         y = rng.integers(0, 3, (h, w))
         y_hat = np.where(conf, y, y + 1)
-        base = dict(depth_threshold=1.0, neighborhood_radius=radius)
+        base = dict(depth_threshold=1.0)
         full = refine_segmentation_with_depth(
             y, y_hat, depth, RefineConfig(**base), "reference")
-        n = _wavefront_depth(conf, ~conf, radius)
+        n = _wavefront_depth(conf, ~conf)
         for cap in range(1, n + 2):
             cfg = RefineConfig(max_iterations=cap, **base)
             a = refine_segmentation_with_depth(y, y_hat, depth, cfg,
@@ -376,7 +357,7 @@ def test_parallel_matches_reference_at_every_cap(radius):
                   for k in range(4)]
         full = refine_depth_with_segmentation(
             depth, states, RefineConfig(**base), "reference")
-        n = max(_wavefront_depth(st.confident, st.unreliable, radius)
+        n = max(_wavefront_depth(st.confident, st.unreliable)
                 for st in states)
         for cap in range(1, n + 2):
             cfg = RefineConfig(max_iterations=cap, **base)

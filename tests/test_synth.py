@@ -325,16 +325,21 @@ def test_object_rejects_nonfinite_numbers(shape, params, depth):
         ObjectSpec(shape, params, depth, 1, 0)
 
 
-@pytest.mark.parametrize("line", [
-    "baseline=nan", "background_depth=inf", "fx=inf",
-    "object=rect,0,0,4,4,nan,1,5", "object=rect,0,0,4,4,2.0,nan,5",
-    "baseline=abc", "height=nan",
+@pytest.mark.parametrize("line, error", [
+    ("baseline=nan", "'nan' is not finite"),
+    ("background_depth=inf", "'inf' is not finite"),
+    ("fx=inf", "'inf' is not finite"),
+    ("seed=-inf", "'-inf' is not finite"),
+    ("object=rect,0,0,4,4,nan,1,5", "'nan' is not finite"),
+    ("object=rect,0,0,4,4,2.0,nan,5", "'nan' is not finite"),
+    ("baseline=abc", "'abc' is not a number"),
+    ("height=nan", "'nan' is not finite"),
 ])
-def test_parse_scene_config_rejects_nonfinite_numbers(tmp_path, line):
+def test_parse_scene_config_rejects_nonfinite_numbers(tmp_path, line, error):
     path = tmp_path / "scene.cfg"
     path.write_text("height=4\nwidth=4\nfx=1\nfy=1\ncx=1\ncy=1\n"
                     "baseline=1\nbackground_depth=5\n" + line + "\n")
-    with pytest.raises(SynthError, match="scene.cfg:9: "):
+    with pytest.raises(SynthError, match=f"scene.cfg:9: {error}"):
         parse_scene_config(path)
 
 
