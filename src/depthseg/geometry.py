@@ -15,9 +15,8 @@ same arithmetic as the general sampler.
 
 The module also holds private helpers the other modules share: the
 8-neighborhood offsets, as flat steps into a padded array for the
-refinement wavefronts and as shifted views for ``synth.corrupt``'s bleed,
-and the non-empty, finite (and optionally positive) map check of every
-array entry point.
+refinement wavefronts, and the non-empty, finite (and optionally positive)
+map check of every array entry point.
 """
 
 from __future__ import annotations
@@ -112,17 +111,6 @@ def _flat_offsets(width: int) -> np.ndarray:
     array or wraps onto another row."""
     return np.array([dr * width + dc for dr, dc in _NEIGHBOR_OFFSETS],
                     dtype=np.intp)
-
-
-def _neighbor_views(arr: np.ndarray, fill):
-    """Yield, for each offset (dr, dc) in ``_NEIGHBOR_OFFSETS`` order, an
-    (H, W) view holding every pixel's neighbor at that offset; neighbors
-    outside the image read ``fill``. The array is padded once per call.
-    ``synth.corrupt``'s bleed reads the whole image this way."""
-    h, w = arr.shape
-    padded = np.pad(arr, 1, constant_values=fill)
-    for dr, dc in _NEIGHBOR_OFFSETS:
-        yield padded[1 + dr:1 + dr + h, 1 + dc:1 + dc + w]
 
 
 def _check_map(arr: np.ndarray, error: type[Exception], message: str,

@@ -9,11 +9,19 @@ into the background, and random label flips.
 
 ``render`` draws each view in two passes. A z-buffer pass over the surfaces
 fills depth, labels and the index of the surface each pixel shows, and
-evaluates no texture. The texture is then evaluated once over the view, each
-pixel with the index, seed and disparity of its own surface. Texture, the
-dominant cost, is therefore evaluated once per pixel per view, whatever the
-number of surfaces; the z-buffer pass costs a few cheap (H, W) array
-operations per surface.
+evaluates no texture; each object costs a few array operations over its
+bounding box only. The texture pass then gives each pixel its own surface's
+texture, bitwise equal to ``surface_texture``. It hashes each surface's
+noise lattice once, about H·W/25 points, where evaluating
+``surface_texture`` per pixel hashes four points per pixel. The column
+terms are computed once per surface and column. What remains per pixel is
+a fixed number of gathers and arithmetic passes over the view, whatever
+the number of surfaces. The occlusion test visits only the rows of each
+object's bounding box.
+
+``corrupt``'s bleed grows the foreground one 3×3 minimum per step, taken as
+two separable 3-tap minima, and stops as soon as a step grows nothing, so
+it makes at most about max(H, W) passes whatever ``bleed_width`` says.
 
 ``parse_scene_config`` reads a scene and its corruption from a flat text
 file of ``key=value`` lines, where ``#`` starts a comment. Each value must be
@@ -27,11 +35,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Camera, _check_map, _neighbor_views
+from .geometry import Camera, _check_map
 
 
 class SynthError(ValueError):
     """Invalid scene or corruption specification."""
+
+
+def _check_integers(spec, *names):
+    """Raise ``SynthError`` unless each named field of ``spec`` is a Python
+    or numpy integer (a bool is not)."""
+    for name in names:
+        value = getattr(spec, name)
+        if (isinstance(value, bool)
+                or not isinstance(value, (int, np.integer))):
+            raise SynthError(f"{name} must be an integer, not {value!r}")
 
 
 @dataclass(frozen=True)
@@ -48,6 +66,7 @@ class ObjectSpec:
     def __post_init__(self):
         if self.shape not in ("rect", "disk"):
             raise SynthError(f"unknown object shape {self.shape!r}")
+        _check_integers(self, "class_id", "texture_seed")
         if not (math.isfinite(self.depth) and self.depth > 0):
             raise SynthError("object depth must be positive and finite")
         n = 4 if self.shape == "rect" else 3
@@ -73,6 +92,22 @@ class ObjectSpec:
         cr, ccen, rad = self.params
         return (rows - cr) ** 2 + (cols - ccen) ** 2 <= rad ** 2
 
+    def _span(self, coords: np.ndarray, axis: int) -> slice | None:
+        """The slice of the 1-D ``coords`` (rows for axis 0, columns for
+        axis 1) from the first to the last one inside the object's extent
+        along that axis, or None when there is none. Every point of the
+        object lies inside it: a rect's test is its own row or column
+        term, and a disk's is its row or column term alone, which bounds
+        the sum because fl(a + b) >= a when b >= 0."""
+        if self.shape == "rect":
+            lo, hi = self.params[axis], self.params[axis + 2]
+            inside = (coords >= lo) & (coords < hi)
+        else:
+            center, rad = self.params[axis], self.params[2]
+            inside = (coords - center) ** 2 <= rad ** 2
+        idx = np.flatnonzero(inside)
+        return slice(idx[0], idx[-1] + 1) if idx.size else None
+
 
 @dataclass(frozen=True)
 class SceneSpec:
@@ -86,6 +121,8 @@ class SceneSpec:
     background_texture_seed: int = 0
 
     def __post_init__(self):
+        _check_integers(self, "height", "width", "background_class",
+                        "background_texture_seed")
         if self.height <= 0 or self.width <= 0:
             raise SynthError("degenerate image size")
         if not (math.isfinite(self.baseline) and self.baseline > 0):
@@ -97,6 +134,10 @@ class SceneSpec:
             if obj.depth >= self.background_depth:
                 raise SynthError("object depths must be smaller than the "
                                  "background depth")
+        nearest = min([self.background_depth]
+                      + [obj.depth for obj in self.objects])
+        if not math.isfinite(self.disparity(nearest)):
+            raise SynthError("the nearest surface's disparity overflows")
         object.__setattr__(self, "objects", tuple(self.objects))
 
     def disparity(self, depth: float) -> float:
@@ -110,6 +151,7 @@ class CorruptionSpec:
     seed: int = 0
 
     def __post_init__(self):
+        _check_integers(self, "bleed_width", "seed")
         if self.bleed_width < 0:
             raise SynthError("bleed_width must be >= 0")
         if not 0.0 <= self.seg_flip_rate <= 1.0:
@@ -157,6 +199,9 @@ def _value_noise(rows: np.ndarray, cols: np.ndarray,
 # distinct base level plus texture confined to a disjoint band
 _TEX_BASE = (0.02, 0.36, 0.70)
 _TEX_SPAN = 0.28
+_NOISE_CELL = 5.0
+# pixels per block of _view_texture: its temporaries stay in cache
+_TEXTURE_BLOCK = 8192
 
 
 def surface_texture(rows: np.ndarray, cols: np.ndarray,
@@ -177,8 +222,84 @@ def surface_texture(rows: np.ndarray, cols: np.ndarray,
     """
     base = np.take(_TEX_BASE, np.mod(surface_index, len(_TEX_BASE)))
     stripe = np.mod(np.round(cols).astype(np.int64), 3).astype(np.float64)
-    coarse = _value_noise(rows, cols, seed, cell=5.0)
+    coarse = _value_noise(rows, cols, seed, cell=_NOISE_CELL)
     return base + _TEX_SPAN * (stripe + 0.6 * coarse) / 3.0
+
+
+def _view_texture(owner: np.ndarray, disps: np.ndarray, seeds: np.ndarray,
+                  out: np.ndarray) -> None:
+    """Write into ``out`` the ``surface_texture`` of one view, where pixel
+    (r, c) shows surface ``owner[r, c]`` at left-view column
+    ``c + disps[owner[r, c]]``.
+
+    Bitwise equal to ``surface_texture`` at each pixel, with the same
+    operations in the same order, but each surface's noise lattice is
+    hashed once, on an (ny, nx) table, and the column terms once per
+    surface and column, on an (S, W) table; each pixel gathers both. The
+    pixels go in blocks of whole rows, so the per-pixel temporaries stay
+    small. ``owner`` is (H, W) int64 and is overwritten; ``out`` is (H, W)
+    and takes the float64 result in its own dtype.
+    """
+    h, w = owner.shape
+    n_surf = len(disps)
+    # column terms per (surface, column), as in surface_texture
+    xcol = np.arange(w, dtype=np.float64)[None, :] + disps[:, None]
+    x = xcol / _NOISE_CELL
+    x0 = np.floor(x)
+    fx = x - x0
+    x0 = x0.astype(np.int64)
+    stripe = np.mod(np.round(xcol).astype(np.int64), 3).astype(np.float64)
+    base = np.repeat(np.take(_TEX_BASE, np.arange(n_surf) % len(_TEX_BASE)),
+                     w)
+    # row terms, (H, 1)
+    y = np.arange(h, dtype=np.float64)[:, None] / _NOISE_CELL
+    y0 = np.floor(y)
+    fy = y - y0
+    omfy = 1 - fy
+    y0 = y0.astype(np.int64)
+    # x0 and y0 grow with the column and row, so a surface's lattice spans
+    # rows 0 .. y0[-1] + 1 and columns x0[s, 0] .. x0[s, -1] + 1
+    xlo = x0[:, :1]
+    ny = int(y0[-1, 0]) + 2
+    nx = int((x0[:, -1:] - xlo).max()) + 2
+    lattice = _hash_noise(np.arange(ny)[None, :, None],
+                          (xlo + np.arange(nx))[:, None, :],
+                          seeds[:, None, None]).ravel()
+    # each (surface, column)'s v00 corner in the flat lattice, less the
+    # row term y0 * nx
+    col_corner = (x0 - xlo) + np.arange(n_surf)[:, None] * (ny * nx)
+    block_rows = max(1, _TEXTURE_BLOCK // w)
+    for r0 in range(0, h, block_rows):
+        rs = slice(r0, r0 + block_rows)
+        # owner's storage becomes each pixel's flat index into the (S, W)
+        # tables, and corner its v00 corner's flat index into the lattice
+        gather = owner[rs]
+        gather *= w
+        gather += np.arange(w)
+        corner = col_corner.take(gather)
+        corner += y0[rs] * nx
+        fx_px = fx.take(gather)
+        omfx_px = 1 - fx_px
+        # the indices are in range; mode="clip" lets take fill ``term``
+        # without the buffered copy the default mode makes for ``out=``
+        coarse = lattice.take(corner)
+        coarse *= omfy[rs]
+        coarse *= omfx_px
+        term = np.empty_like(coarse)
+        for step, row_w, col_w in ((1, omfy[rs], fx_px),
+                                   (nx - 1, fy[rs], omfx_px),
+                                   (1, fy[rs], fx_px)):
+            corner += step
+            lattice.take(corner, out=term, mode="clip")
+            term *= row_w
+            term *= col_w
+            coarse += term
+        coarse *= 0.6
+        coarse += stripe.take(gather, out=term, mode="clip")
+        coarse *= _TEX_SPAN
+        coarse /= 3.0
+        coarse += base.take(gather, out=term, mode="clip")
+        out[rs] = coarse
 
 
 def render(spec: SceneSpec):
@@ -190,8 +311,11 @@ def render(spec: SceneSpec):
 
     Each view is a z-buffer pass, which resolves the surface every pixel
     shows (the nearest; on equal depths the earlier one), followed by one
-    texture evaluation per pixel, with that surface's parameters. A
-    surface's texture is never evaluated where another one covers it.
+    texture pass over the view (``_view_texture``), which gives each pixel
+    its own surface's texture. A surface's texture is never evaluated where
+    another one covers it, and its noise lattice is hashed once per view.
+    The z-buffer pass and the occlusion test visit each object's bounding
+    box only.
     """
     h, w = spec.height, spec.width
 
@@ -201,8 +325,8 @@ def render(spec: SceneSpec):
     for obj in spec.objects:
         surfaces.append((obj.depth, obj.class_id, obj.texture_seed, obj))
 
-    rows = np.arange(h, dtype=np.float64)[:, None]
-    cols = np.arange(w, dtype=np.float64)[None, :]
+    rows = np.arange(h, dtype=np.float64)
+    cols = np.arange(w, dtype=np.float64)
     # a seed and the same seed modulo 2**64 hash alike
     seeds = np.array([int(seed) % 2 ** 64 for _, _, seed, _ in surfaces],
                      dtype=np.uint64)
@@ -215,16 +339,20 @@ def render(spec: SceneSpec):
         disps = np.array([spec.disparity(d) if view_shift_disp else 0.0
                           for d, _, _, _ in surfaces])
         for idx, (d, cls, _, obj) in enumerate(surfaces[1:], 1):
-            mask = obj.mask(h, w, col_shift=disps[idx])
-            mask &= d < depth
-            depth[mask] = d
-            seg[mask] = cls
-            owner[mask] = idx
-        # each pixel's texture is evaluated once, with the parameters of the
-        # surface it shows. Texture lives on the surface: right-view content
-        # at column c equals left-view content at column c + disparity
-        img = surface_texture(rows, cols + disps[owner], owner, seeds[owner])
-        return img.astype(np.float32), depth, seg
+            obj_cols = cols + disps[idx]
+            rs, cs = obj._span(rows, 0), obj._span(obj_cols, 1)
+            if rs is None or cs is None:
+                continue
+            mask = obj._contains(rows[rs, None], obj_cols[None, cs])
+            mask &= d < depth[rs, cs]
+            depth[rs, cs][mask] = d
+            seg[rs, cs][mask] = cls
+            owner[rs, cs][mask] = idx
+        # texture lives on the surface: right-view content at column c
+        # equals left-view content at column c + disparity
+        img = np.empty((h, w), dtype=np.float32)
+        _view_texture(owner, disps, seeds, img)
+        return img, depth, seg
 
     img_left, depth_left, seg_left = render_view(False)
     img_right, _, _ = render_view(True)
@@ -235,9 +363,14 @@ def render(spec: SceneSpec):
     occluded = (right_col < 0) | (right_col > w - 1)
     for d, _, _, obj in surfaces[1:]:
         # object's right-view footprint contains column c iff (c + disp) is
-        # inside its left-view region
-        inside = obj._contains(rows, right_col + spec.disparity(d))
-        occluded |= inside & (d < depth_left)
+        # inside its left-view region; only rows inside its box can be
+        rs = obj._span(rows, 0)
+        if rs is None:
+            continue
+        inside = obj._contains(rows[rs, None],
+                               right_col[rs] + spec.disparity(d))
+        inside &= d < depth_left[rs]
+        occluded[rs] |= inside
     return img_left, img_right, depth_left, seg_left, occluded
 
 
@@ -256,6 +389,35 @@ def intensity_segmenter(levels: int = 64):
     return segment
 
 
+def _bleed(depth: np.ndarray, steps: int) -> None:
+    """Dilate the foreground, the pixels nearer than the farthest depth,
+    into the background ``steps`` times, in place. Each step a background
+    pixel with a foreground 8-neighbor takes the smallest such neighbor's
+    depth, so where two bleeds meet, the nearer one wins. Stops early once
+    a step grows nothing."""
+    h, w = depth.shape
+    fg = depth < depth.max()
+    # a growing pixel's own value is inf, so the full 3x3 minimum serves,
+    # taken down the rows and then along the columns of an inf-padded
+    # buffer, whose interior then holds the minimum
+    padded = np.full((h + 2, w + 2), np.inf)
+    nb_min = padded[1:-1, 1:-1]
+    rows_min = np.empty((h, w + 2))
+    for _ in range(steps):
+        nb_min.fill(np.inf)
+        np.copyto(nb_min, depth, where=fg)
+        np.minimum(padded[:-2], padded[1:-1], out=rows_min)
+        np.minimum(rows_min, padded[2:], out=rows_min)
+        np.minimum(rows_min[:, :-2], rows_min[:, 1:-1], out=nb_min)
+        np.minimum(nb_min, rows_min[:, 2:], out=nb_min)
+        grow = np.isfinite(nb_min)
+        grow &= ~fg
+        if not grow.any():
+            return
+        depth[grow] = nb_min[grow]
+        fg |= grow
+
+
 def corrupt(gt_depth: np.ndarray, gt_seg: np.ndarray,
             cspec: CorruptionSpec):
     """Apply the bleeding-style depth corruption and random label flips."""
@@ -264,16 +426,8 @@ def corrupt(gt_depth: np.ndarray, gt_seg: np.ndarray,
     if depth.shape != seg.shape:
         raise SynthError("shape mismatch")
     _check_map(depth, SynthError, "depth must be non-empty and finite")
-    background = depth.max()
-    fg = depth < background
-    for _ in range(cspec.bleed_width):
-        # where two bleeds meet, the nearer foreground depth wins
-        nb_min = np.full(depth.shape, np.inf)
-        for nb in _neighbor_views(np.where(fg, depth, np.inf), np.inf):
-            np.minimum(nb_min, nb, out=nb_min)
-        grow = ~fg & np.isfinite(nb_min)
-        depth[grow] = nb_min[grow]
-        fg |= grow
+    if cspec.bleed_width > 0:
+        _bleed(depth, cspec.bleed_width)
     if cspec.seg_flip_rate > 0:
         rng = np.random.default_rng(cspec.seed)
         classes = np.unique(seg)

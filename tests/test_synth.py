@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -114,6 +117,54 @@ def test_corrupt_bleed_grows_foreground():
     bad, _ = corrupt(depth, np.zeros((5, 11), np.int32),
                      CorruptionSpec(bleed_width=3))
     assert bad[0].tolist() == [3.0] * 5 + [2.0] * 6
+
+
+def bleed_reference(depth, width):
+    """Per-pixel bleed: each step, every background pixel with a
+    foreground 8-neighbor takes the smallest such neighbor's depth."""
+    depth = depth.astype(np.float64)
+    h, w = depth.shape
+    fg = depth < depth.max()
+    for _ in range(width):
+        new_depth, new_fg = depth.copy(), fg.copy()
+        for r in range(h):
+            for c in range(w):
+                if fg[r, c]:
+                    continue
+                nb = [depth[r + dr, c + dc]
+                      for dr, dc in geometry._NEIGHBOR_OFFSETS
+                      if 0 <= r + dr < h and 0 <= c + dc < w
+                      and fg[r + dr, c + dc]]
+                if nb:
+                    new_depth[r, c], new_fg[r, c] = min(nb), True
+        depth, fg = new_depth, new_fg
+    return depth
+
+
+@pytest.mark.parametrize("shape, seed", [((9, 13), 0), ((1, 12), 1),
+                                         ((12, 1), 2), ((7, 7), 3)])
+def test_corrupt_bleed_matches_reference(shape, seed):
+    rng = np.random.default_rng(seed)
+    depth = np.full(shape, 20.0)
+    seeds = rng.random(shape) < 0.08
+    depth[seeds] = rng.choice([2.0, 3.5, 5.0], size=int(seeds.sum()))
+    seg = np.zeros(shape, np.int32)
+    for width in (0, 1, 2, 3, 8):
+        got, _ = corrupt(depth, seg, CorruptionSpec(bleed_width=width))
+        assert np.array_equal(got, bleed_reference(depth, width))
+
+
+def test_corrupt_bleed_stops_when_nothing_grows():
+    # 10**7 full passes would take minutes; the foreground of an 8x8 image
+    # stops growing within H + W of them
+    depth = np.full((8, 8), 10.0)
+    depth[1, 2] = 3.0
+    depth[6, 6] = 2.0
+    seg = np.zeros((8, 8), np.int32)
+    want, _ = corrupt(depth, seg, CorruptionSpec(bleed_width=16))
+    got, _ = corrupt(depth, seg, CorruptionSpec(bleed_width=10 ** 7))
+    assert np.array_equal(got, want)
+    assert (got < 10.0).all()
 
 
 def test_corrupt_flip_rate_and_determinism():
@@ -289,23 +340,135 @@ def test_render_matches_painter_oracle(name, seed):
         assert (seg[near_obj] == 2).all() and (got[2][near_obj] == 2.5).all()
 
 
+def kitti_like_scene(seed, h=72, w=240):
+    """Eight rect/disk objects at depths in 3-30 m before a 40 m
+    background, seen by a KITTI-like camera (fx = 0.58 W, 0.54 m baseline),
+    so every disparity is fractional; rect corners are fractional too and
+    may lie outside the frame."""
+    rng = np.random.default_rng(seed)
+    cam = geometry.Camera(0.58 * w, 1.92 * h, 0.5 * w - 0.5, 0.5 * h - 0.5)
+    objects = []
+    for _ in range(8):
+        depth = float(rng.uniform(3.0, 30.0))
+        cls = int(rng.integers(1, 6))
+        tex = int(rng.integers(2 ** 31))
+        if rng.random() < 0.5:
+            r0, c0 = rng.uniform(-h / 8, h), rng.uniform(-w / 8, w)
+            params = (r0, c0, r0 + rng.uniform(h / 8, h / 2),
+                      c0 + rng.uniform(w / 16, w / 4))
+            objects.append(ObjectSpec("rect", params, depth, cls, tex))
+        else:
+            params = (rng.uniform(0, h), rng.uniform(0, w),
+                      rng.uniform(h / 16, h / 4))
+            objects.append(ObjectSpec("disk", params, depth, cls, tex))
+    return SceneSpec(h, w, cam, 0.54, 40.0, tuple(objects), 0,
+                     int(rng.integers(2 ** 31)))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_render_matches_painter_oracle_kitti_like(seed):
+    spec = kitti_like_scene(seed)
+    for g, e in zip(render(spec), painter_render(spec)):
+        assert g.dtype == e.dtype and g.shape == e.shape
+        assert np.array_equal(g, e)
+
+
+@pytest.mark.parametrize("shape, seed", [((70, 300), 0), ((1, 33), 1),
+                                         ((29, 1), 2), ((7, 8), 3)])
+def test_view_texture_matches_surface_texture(shape, seed):
+    # in float64, before render's cast to float32 can hide a last-bit
+    # difference
+    rng = np.random.default_rng(seed)
+    h, w = shape
+    disps = np.concatenate([[0.0], rng.uniform(0.0, 40.0, 4), [3.0]])
+    seeds = np.array([0, 1, 2 ** 64 - 1, 7, 2 ** 40, 12345], dtype=np.uint64)
+    owner = rng.integers(0, len(disps), shape)
+    rows = np.arange(h, dtype=np.float64)[:, None]
+    cols = np.arange(w, dtype=np.float64)[None, :]
+    want = surface_texture(rows, cols + disps[owner], owner, seeds[owner])
+    got = np.empty(shape)
+    synth._view_texture(owner.copy(), disps, seeds, got)
+    assert np.array_equal(got, want)
+
+
 @pytest.mark.parametrize("name", ["overlap", "out_of_frame", "row"])
 def test_render_evaluates_texture_once_per_pixel(name, monkeypatch):
     spec = oracle_scene(name, 0)
     evaluated = []
+    view_texture = synth._view_texture
 
-    def counting(rows, cols, surface_index, seed):
-        evaluated.append(np.broadcast(rows, cols, surface_index, seed).size)
-        return surface_texture(rows, cols, surface_index, seed)
+    def counting(owner, disps, seeds, out):
+        evaluated.append(owner.size)
+        view_texture(owner, disps, seeds, out)
 
-    monkeypatch.setattr(synth, "surface_texture", counting)
+    monkeypatch.setattr(synth, "_view_texture", counting)
     render(spec)
     assert sum(evaluated) == 2 * spec.height * spec.width
+
+
+@pytest.mark.parametrize("spec", [kitti_like_scene(0),
+                                  oracle_scene("overlap", 0),
+                                  oracle_scene("column", 0)])
+def test_render_hashes_each_lattice_point_once(spec, monkeypatch):
+    h, w = spec.height, spec.width
+    hashed = []
+    hash_noise = synth._hash_noise
+
+    def counting(iy, ix, seed):
+        hashed.append(np.broadcast(iy, ix, seed).size)
+        return hash_noise(iy, ix, seed)
+
+    monkeypatch.setattr(synth, "_hash_noise", counting)
+    render(spec)
+    # the lattice a surface at disparity d needs: rows 0 .. (H-1)//5 + 1,
+    # columns floor(d/5) .. floor((W-1+d)/5) + 1
+    depths = [spec.background_depth] + [o.depth for o in spec.objects]
+    ny = (h - 1) // 5 + 2
+    for view, disp in enumerate((lambda d: 0.0, spec.disparity)):
+        nx = max(math.floor((w - 1 + disp(d)) / 5) + 2
+                 - math.floor(disp(d) / 5) for d in depths)
+        assert hashed[view] <= len(depths) * ny * nx
+    assert len(hashed) == 2
+    # surface_texture hashes four points per pixel and view
+    assert sum(hashed) < 4 * h * w
+
+
+def test_render_peak_memory():
+    spec = kitti_like_scene(0, 192, 640)
+    tracemalloc.start()
+    try:
+        render(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * spec.height * spec.width * 8
+
+
+@pytest.mark.parametrize("build", [
+    lambda v: make_scene(height=v), lambda v: make_scene(width=v),
+    lambda v: make_scene(background_class=v),
+    lambda v: make_scene(background_texture_seed=v),
+    lambda v: ObjectSpec("rect", (0, 0, 4, 4), 2.0, v, 0),
+    lambda v: ObjectSpec("disk", (5, 5, 2), 2.0, 1, v),
+    lambda v: CorruptionSpec(bleed_width=v),
+    lambda v: CorruptionSpec(seed=v),
+], ids=["height", "width", "background_class", "background_texture_seed",
+        "class_id", "texture_seed", "bleed_width", "seed"])
+def test_specs_require_integers(build):
+    for value in (2.5, 3.0, np.float64(3.0), "3", True, None):
+        with pytest.raises(SynthError, match="must be an integer"):
+            build(value)
+    build(3)
+    build(np.int64(3))
+    build(np.uint8(3))
 
 
 @pytest.mark.parametrize("field, value", [
     ("baseline", float("nan")), ("baseline", float("inf")),
     ("background_depth", float("inf")), ("background_depth", float("nan")),
+    # disparities fx * baseline / depth that overflow to inf
+    ("baseline", 1e307),
+    ("objects", (ObjectSpec("rect", (20, 50, 44, 74), 1e-307, 1, 5),)),
 ])
 def test_scene_rejects_nonfinite_numbers(field, value):
     with pytest.raises(SynthError):
