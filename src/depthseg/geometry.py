@@ -22,6 +22,7 @@ map check of every array entry point.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,6 +123,20 @@ def _check_map(arr: np.ndarray, error: type[Exception], message: str,
         raise error(message)
 
 
+def _as_resample_input(img, name: str) -> tuple[np.ndarray, bool]:
+    """``img`` as a non-empty float64 (H, W, C) array, and whether it was
+    (H, W)."""
+    img = np.asarray(img, dtype=np.float64)
+    if img.ndim not in (2, 3):
+        raise GeometryError(f"{name} must be (H, W) or (H, W, C), got shape "
+                            f"{img.shape}")
+    if img.size == 0:
+        raise GeometryError(f"{name} is empty: shape {img.shape}")
+    if img.ndim == 2:
+        return img[:, :, None], True
+    return img, False
+
+
 def load_camera_pose(path) -> tuple[Camera, Pose]:
     """Read ``fx fy cx cy`` followed by 12 numbers (row-major R | t)."""
     with open(path) as f:
@@ -178,12 +193,12 @@ def bilinear_sample(src: np.ndarray,
 
     Out-of-bounds samples are masked False and set to 0.
     """
-    src = np.asarray(src, dtype=np.float64)
-    squeeze = src.ndim == 2
-    if squeeze:
-        src = src[:, :, None]
+    src, squeeze = _as_resample_input(src, "source")
     h, w, c = src.shape
     coords = np.asarray(coords, dtype=np.float64)
+    if coords.shape[-1:] != (2,):
+        raise GeometryError("coords must end in an axis of 2 (u, v) "
+                            f"positions, got shape {coords.shape}")
     u = coords[..., 0]
     v = coords[..., 1]
     valid = (u >= 0) & (u <= w - 1) & (v >= 0) & (v <= h - 1)
@@ -260,12 +275,15 @@ def downsample2x_area(img: np.ndarray) -> np.ndarray:
 
 def upsample_bilinear(img: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     """Resize to (H, W) with bilinear interpolation, corners aligned."""
-    img = np.asarray(img, dtype=np.float64)
-    squeeze = img.ndim == 2
-    if squeeze:
-        img = img[:, :, None]
+    img, squeeze = _as_resample_input(img, "image")
     h_in, w_in, _ = img.shape
-    h_out, w_out = shape
+    try:
+        h_out, w_out = (operator.index(n) for n in shape)
+    except (TypeError, ValueError):
+        raise GeometryError(f"output shape must be two ints, got {shape!r}"
+                            ) from None
+    if h_out < 1 or w_out < 1:
+        raise GeometryError(f"output shape must be positive, got {shape!r}")
     v = (np.linspace(0, h_in - 1, h_out) if h_out > 1 else np.zeros(1))
     u = (np.linspace(0, w_in - 1, w_out) if w_out > 1 else np.zeros(1))
     u0 = np.floor(u).astype(np.intp)

@@ -2,9 +2,12 @@
 supervision, edge-aware smoothness, cross-entropy, weighted totals, the
 multi-scale photometric average, and shared-parameter gradient combination.
 
-SSIM has Monodepth2's fixed settings: a zero-padded ``SSIM_WINDOW`` x
-``SSIM_WINDOW`` (3x3) box window and the stabilizers ``SSIM_C1`` =
-0.01**2 and ``SSIM_C2`` = 0.03**2.
+SSIM uses a ``SSIM_WINDOW`` x ``SSIM_WINDOW`` (3x3) box window and
+Monodepth2's stabilizers ``SSIM_C1`` = 0.01**2 and ``SSIM_C2`` = 0.03**2.
+Each window mean divides the sum of the window's in-image taps by their
+number: 9 inside the image, 6 on an edge and 4 at a corner. It is not a
+zero-padded 9-tap mean, nor Monodepth2's reflection-padded one, and
+``1 - SSIM`` is not clamped.
 
 Analytic per-pixel gradients are provided for the differentiable losses so
 they can be checked against finite differences. Each loss and its gradient
@@ -14,8 +17,9 @@ inputs.
 Cost model. An SSIM box sum is O(HW) direct adds: a zero-padded 3-tap sum
 down the rows, then along the columns, each added in place, and the window
 pixel counts come in closed form. Cross-entropy with integer labels reads
-and writes only each pixel's labelled probability, one gather of H*W
-entries, not an (H, W, K) one-hot map.
+and writes only each pixel's labelled probability, one flat gather of H*W
+entries, not an (H, W, K) one-hot map; its sum-to-one check adds the K
+(H, W) class slices in turn.
 """
 
 from __future__ import annotations
@@ -265,25 +269,35 @@ _PROB_FLOOR = 1e-7
 
 
 def _prepare_cross_entropy(target, probs):
-    """The target and the probabilities. Integer labels come back as an
-    integer (H, W, 1) index into the class axis, a soft target as a float64
-    (H, W, K) array."""
+    """The target and the probabilities. Integer labels come back as the
+    flat (C-order) index of each pixel's labelled entry of ``probs``, a soft
+    target as a float64 (H, W, K) array."""
     probs = np.asarray(probs, dtype=np.float64)
     if probs.ndim != 3:
         raise LossError("probabilities must be (H, W, K)")
-    if probs.shape[0] * probs.shape[1] == 0:
+    h, w, k = probs.shape
+    if h * w == 0:
         raise LossError("probabilities must cover at least one pixel")
-    # max propagates NaN, so a NaN probability fails the test
-    if not np.abs(probs.sum(axis=2) - 1.0).max() <= 1e-5:
+    if k == 0:
+        raise LossError("probabilities must have at least one class")
+    # one add per class over (H, W) slices: a reduction along the short
+    # class axis costs more; max propagates NaN, so a NaN probability fails
+    # the test
+    dev = probs[:, :, 0].copy()
+    for j in range(1, k):
+        dev += probs[:, :, j]
+    dev -= 1.0
+    if not np.abs(dev, out=dev).max() <= 1e-5:
         raise LossError("probability vectors must sum to 1 within 1e-5")
     target = np.asarray(target)
     if target.ndim == 2:
         if target.shape != probs.shape[:2]:
             raise LossError("shape mismatch")
-        k = probs.shape[2]
         if not (0 <= target.min() and target.max() < k):
             raise LossError("class ids out of range")
-        return target.astype(np.intp)[:, :, None], probs
+        index = target.astype(np.intp).ravel()
+        index += np.arange(0, h * w * k, k)
+        return index, probs
     if target.shape != probs.shape:
         raise LossError("shape mismatch")
     target = np.asarray(target, dtype=np.float64)
@@ -298,7 +312,7 @@ def cross_entropy(target, probs) -> float:
     n = probs.shape[0] * probs.shape[1]
     if np.issubdtype(target.dtype, np.integer):
         # integer labels: only each pixel's labelled probability counts
-        p = np.take_along_axis(probs, target, axis=2)
+        p = probs.take(target)
         return float(-np.log(np.maximum(p, _PROB_FLOOR)).sum() / n)
     return float(-(target * np.log(np.maximum(probs, _PROB_FLOOR))).sum() / n)
 
@@ -308,12 +322,13 @@ def cross_entropy_grad(target, probs) -> np.ndarray:
     target, probs = _prepare_cross_entropy(target, probs)
     n = probs.shape[0] * probs.shape[1]
     if np.issubdtype(target.dtype, np.integer):
-        # integer labels: the gradient is zero off each pixel's label
-        p = np.take_along_axis(probs, target, axis=2)
-        grad = np.zeros_like(probs)
-        np.put_along_axis(grad, target, np.where(
-            p > _PROB_FLOOR, -1.0 / np.maximum(p, _PROB_FLOOR), 0.0) / n,
-            axis=2)
+        # integer labels: the gradient is zero off each pixel's label. The
+        # flat index is in C order, so the gradient is a fresh C-ordered
+        # array whatever the layout of ``probs``
+        p = probs.take(target)
+        grad = np.zeros(probs.shape)
+        grad.put(target, np.where(
+            p > _PROB_FLOOR, -1.0 / np.maximum(p, _PROB_FLOOR), 0.0) / n)
         return grad
     grad = np.where(probs > _PROB_FLOOR, -target / np.maximum(probs, _PROB_FLOOR),
                     0.0)
@@ -355,6 +370,9 @@ def multiscale_photometric(disparities, img_t, img_s, pose, cam,
         raise LossError("expected disparity maps at 4 scales")
     img_t = _as_hwc(img_t)
     h, w_img = img_t.shape[:2]
+    if h < 8 or w_img < 8:
+        raise LossError("images must be at least 8x8, so that the 1/8 "
+                        f"scale holds a pixel; got {h}x{w_img}")
     losses = []
     for scale, disp in enumerate(disparities):
         disp = np.asarray(disp, dtype=np.float64)

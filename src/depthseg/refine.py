@@ -13,12 +13,13 @@ Each pass has two interchangeable implementations:
 
 * a vectorized frontier wavefront (``impl="parallel"``, the default). Each
   input is padded once and flattened, and neighbors are read through flat
-  index lists (``geometry._flat_offsets``). The first iteration reads the
-  neighbors of every pixel that could change; each later one reads only
-  those of the still-open pixels next to a pixel the previous iteration
-  confirmed, since the confident set only grows. Every value is gathered
-  before any is written. The depth pass runs one wavefront for all classes
-  over a per-pixel class-index map;
+  index lists (``geometry._flat_offsets``). Every iteration reads only the
+  neighbors of its frontier: the open pixels next to a confident one. The
+  first frontier is found from whichever set is smaller, the confident
+  pixels or the open ones; each later one from the pixels the previous
+  iteration confirmed, since the confident set only grows. Every value is
+  gathered before any is written. The depth pass runs one wavefront for
+  all classes over a per-pixel class-index map;
 * a plain per-pixel simulator (``impl="reference"``) used as the equivalence
   oracle in tests; it runs the depth pass one class at a time.
 
@@ -70,6 +71,13 @@ class RefineState:
     unreliable: np.ndarray
 
     def __post_init__(self):
+        self.confident = np.asarray(self.confident)
+        self.unreliable = np.asarray(self.unreliable)
+        if self.confident.dtype != bool or self.unreliable.dtype != bool:
+            raise RefineError("confident and unreliable masks must be bool, "
+                              f"got {self.confident.dtype} and "
+                              f"{self.unreliable.dtype}")
+        _check_same_shape(self.confident, self.unreliable)
         if (self.confident & self.unreliable).any():
             raise RefineError("confident and unreliable sets overlap")
 
@@ -81,6 +89,8 @@ def _check_same_shape(*arrays):
 
 
 def _check_depth(depth: np.ndarray):
+    if depth.ndim != 2:
+        raise RefineError(f"maps must be 2-D (H, W), got shape {depth.shape}")
     if depth.size == 0:
         raise RefineError("empty image")
     geometry._check_map(depth, RefineError,
@@ -158,6 +168,18 @@ def _next_frontier(new: np.ndarray, offsets: np.ndarray, open_: np.ndarray,
     return nb[slot[nb] == pos]
 
 
+def _first_frontier(confident: np.ndarray, offsets: np.ndarray,
+                    open_: np.ndarray, slot: np.ndarray) -> np.ndarray:
+    """The first iteration's frontier. Only an open pixel next to a
+    ``confident`` one can be confirmed. When the confident pixels are fewer,
+    the frontier is their open neighbors, each once. Otherwise it is every
+    open pixel: the extra ones confirm nothing, and listing them costs less
+    than visiting the confident pixels' neighborhoods."""
+    if np.count_nonzero(confident) < np.count_nonzero(open_):
+        return _next_frontier(np.flatnonzero(confident), offsets, open_, slot)
+    return np.flatnonzero(open_)
+
+
 def _unpad(flat: np.ndarray, shape: tuple[int, int]):
     h, w = shape
     return flat.reshape(h + 2, w + 2)[1:-1, 1:-1].copy()
@@ -172,14 +194,14 @@ def _refine_seg_parallel(y, confident, depth, threshold, cfg):
     # that is not confident is +inf, so it is never the closest
     conf_dep = np.where(open_, np.inf, dep)
     slot = np.empty(open_.size, dtype=np.intp)
-    cand = np.flatnonzero(open_)
+    cand = _first_frontier(_pad_flat(confident, False), offsets, open_, slot)
     for _ in _iterations(cfg):
         if not cand.size:
             break
         # one offset at a time over candidate-sized arrays: the first
-        # frontier (every disagreeing pixel) is most of this pass's work, and
-        # arrays this size stay in cache where an (offsets, candidates)
-        # block would not
+        # frontier (usually every disagreeing pixel, since most labels
+        # agree) is most of this pass's work, and arrays this size stay in
+        # cache where an (offsets, candidates) block would not
         cand_dep = dep[cand]
         best_gap = np.full(cand.size, np.inf)
         best_nb = np.zeros_like(cand)
@@ -317,7 +339,7 @@ def _refine_depth_parallel(depth, owner, confident, cfg):
     conf_owner = _pad_flat(conf_owner, -1)
     open_ = _pad_flat(unrel, False)
     slot = np.empty(open_.size, dtype=np.intp)
-    cand = np.flatnonzero(open_)
+    cand = _first_frontier(conf_owner >= 0, offsets, open_, slot)
     for _ in _iterations(cfg):
         if not cand.size:
             break
@@ -389,6 +411,9 @@ def refine_depth_full(depth: np.ndarray, y_refined: np.ndarray,
     split by consistency, then propagate confident depth within each
     class."""
     depth = np.asarray(depth, dtype=np.float64)
+    for img in (img_target, img_source):
+        geometry._check_map(np.asarray(img), RefineError,
+                            "images must be non-empty and finite")
     warped, valid = geometry.warp(img_source, depth, pose, cam)
     y_t = np.asarray(segmenter(img_target))
     y_st = np.asarray(segmenter(warped))

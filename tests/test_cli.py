@@ -208,6 +208,27 @@ def test_refine_depth_nonfinite_depth_exit_code_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("image", ["_left", "_right"])
+def test_refine_depth_nonfinite_image_exit_code_2(tmp_path, capsys, image):
+    prefix = write_scene(tmp_path)
+    cam_file = tmp_path / "cam.txt"
+    cam_file.write_text(CAMERA_TXT)
+    img = tensorio.load_tensor(str(prefix) + image + ".stn").data.copy()
+    img[3, 5, 0] = np.nan
+    tensorio.save_tensor(Tensor2D(img), tmp_path / "nan.stn")
+    paths = {"_left": str(prefix) + "_left.stn",
+             "_right": str(prefix) + "_right.stn"}
+    paths[image] = str(tmp_path / "nan.stn")
+    out = tmp_path / "fixed.stn"
+    assert run(["refine-depth",
+                "--depth", str(prefix) + "_depth_corrupt.stn",
+                "--y", str(prefix) + "_seg.stn",
+                "--target", paths["_left"], "--src", paths["_right"],
+                "--camera", str(cam_file), "--out", str(out)]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_loss_command_prints_value(tmp_path, capsys):
     a = np.zeros((8, 8), dtype=np.float32)
     b = np.full((8, 8), 0.5, dtype=np.float32)

@@ -352,3 +352,26 @@ def test_project_random_rotations_match_longdouble_oracle():
             for got in (coords[valid], want[valid]):
                 assert np.abs(got - exact).max() <= PROJECT_RTOL * scale
             assert np.abs(coords - want).max() <= PROJECT_RTOL * scale
+
+
+@pytest.mark.parametrize("shape", [(0, 8), (-3, 8), (8, 0), (2.5, 8),
+                                   (8,), (np.nan, 8)])
+def test_upsample_bilinear_rejects_bad_output_shapes(shape):
+    with pytest.raises(GeometryError, match="output shape"):
+        geometry.upsample_bilinear(np.ones((4, 4)), shape)
+
+
+@pytest.mark.parametrize("img", [np.ones((0, 4)), np.ones((4, 0, 3)),
+                                 np.ones((3, 4, 0)), np.ones(5),
+                                 np.ones((2, 2, 2, 2))])
+def test_resamplers_reject_empty_or_misshapen_sources(img):
+    with pytest.raises(GeometryError):
+        geometry.upsample_bilinear(img, (4, 4))
+    with pytest.raises(GeometryError):
+        bilinear_sample(img, np.zeros((2, 2, 2)))
+
+
+@pytest.mark.parametrize("coords_shape", [(3, 4, 3), (3, 4, 1), (3, 4), ()])
+def test_bilinear_sample_rejects_coords_without_a_uv_axis(coords_shape):
+    with pytest.raises(GeometryError, match="coords"):
+        bilinear_sample(np.ones((3, 4)), np.zeros(coords_shape))

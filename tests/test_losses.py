@@ -419,3 +419,45 @@ def test_combine_shared_gradients_rejects_bad_alpha():
     g = np.zeros((2, 2))
     with pytest.raises(LossError):
         combine_shared_gradients(g, g, 1.5)
+
+
+@pytest.mark.parametrize("shape", [(3, 5), (7, 16), (16, 7)])
+def test_multiscale_photometric_rejects_images_without_a_one_eighth_scale(
+        shape):
+    img = np.random.default_rng(4).random(shape)
+    disparities = [np.full((shape[0] >> s, shape[1] >> s), 0.5)
+                   for s in range(4)]
+    with pytest.raises(LossError, match="at least 8x8"):
+        multiscale_photometric(disparities, img, img,
+                               geometry.Pose.identity(),
+                               geometry.Camera(10.0, 10.0, 2.0, 1.0),
+                               geometry.DepthParams(0.1, 100.0))
+
+
+@pytest.mark.parametrize("layout", ["fortran", "strided", "transposed"])
+def test_cross_entropy_and_grad_on_non_contiguous_probabilities(layout):
+    rng = np.random.default_rng(12)
+    logits = rng.random((6, 10, 4)) + 0.1
+    probs = logits / logits.sum(axis=2, keepdims=True)
+    labels = rng.integers(0, 4, (6, 10))
+    if layout == "fortran":
+        view = np.asfortranarray(probs)
+    elif layout == "strided":
+        wide = np.zeros((6, 20, 4))
+        wide[:, ::2] = probs
+        view = wide[:, ::2]
+    else:
+        view = np.ascontiguousarray(probs.transpose(1, 0, 2)).transpose(
+            1, 0, 2)
+    assert not view.flags.c_contiguous and np.array_equal(view, probs)
+    assert cross_entropy(labels, view) == cross_entropy(labels, probs)
+    grad = cross_entropy_grad(labels, view)
+    assert grad.flags.c_contiguous
+    assert np.array_equal(grad, cross_entropy_grad(labels, probs))
+    assert np.array_equal(grad, cross_entropy_grad(np.eye(4)[labels], probs))
+
+
+@pytest.mark.parametrize("fn", [cross_entropy, cross_entropy_grad])
+def test_cross_entropy_and_grad_reject_zero_classes(fn):
+    with pytest.raises(LossError, match="at least one class"):
+        fn(np.zeros((2, 2), int), np.zeros((2, 2, 0)))

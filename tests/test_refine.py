@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from depthseg import geometry
+from depthseg import geometry, refine, synth
 from depthseg.refine import (RefineConfig, RefineError, RefineState,
                              refine_depth_full,
                              refine_depth_with_segmentation,
@@ -368,3 +370,195 @@ def test_parallel_matches_reference_at_every_cap():
             if cap >= n:
                 assert np.array_equal(a, full), (h, w, cap)
         assert full[-1, -1] == depth[-1, -1]
+
+
+def _check_every_cap(y, y_hat, depth, states):
+    """Both passes, parallel against reference, at every cap up to one past
+    the fixed point and uncapped."""
+    base = dict(depth_threshold=1.0)
+    conf = y == y_hat
+    full = refine_segmentation_with_depth(
+        y, y_hat, depth, RefineConfig(**base), "reference")
+    for cap in range(1, _wavefront_depth(conf, ~conf) + 2):
+        cfg = RefineConfig(max_iterations=cap, **base)
+        a = refine_segmentation_with_depth(y, y_hat, depth, cfg, "parallel")
+        b = refine_segmentation_with_depth(y, y_hat, depth, cfg, "reference")
+        assert np.array_equal(a, b), cap
+    assert np.array_equal(a, full)
+    full = refine_depth_with_segmentation(
+        depth, states, RefineConfig(**base), "reference")
+    n = max(_wavefront_depth(st.confident, st.unreliable) for st in states)
+    for cap in range(1, n + 2):
+        cfg = RefineConfig(max_iterations=cap, **base)
+        a = refine_depth_with_segmentation(depth, states, cfg, "parallel")
+        b = refine_depth_with_segmentation(depth, states, cfg, "reference")
+        assert np.array_equal(a, b), cap
+    assert np.array_equal(a, full)
+
+
+# below one half the first frontier is found from the confident pixels,
+# above it from the open ones
+@pytest.mark.parametrize("share", [0.05, 0.3, 0.7, 0.95])
+def test_parallel_matches_reference_at_every_confident_share(share):
+    rng = np.random.default_rng(int(share * 100))
+    h, w = 11, 17
+    depth = rng.random((h, w)) * 4 + 1
+    conf = rng.random((h, w)) < share
+    conf.flat[rng.integers(h * w)] = True
+    conf.flat[rng.integers(h * w)] = False
+    assert (conf.sum() < (~conf).sum()) == (share < 0.5)
+    y = rng.integers(0, 3, (h, w))
+    y_hat = np.where(conf, y, y + 1)
+    seg = np.kron(rng.integers(0, 3, (h // 2 + 1, w // 2 + 1)),
+                  np.ones((2, 2), int))[:h, :w]
+    states = [RefineState(confident=(seg == k) & conf,
+                          unreliable=(seg == k) & ~conf) for k in range(3)]
+    _check_every_cap(y, y_hat, depth, states)
+
+
+@pytest.mark.parametrize("share", [0.05, 0.3, 0.7, 0.95])
+def test_first_frontier_holds_every_pixel_that_can_be_confirmed(share):
+    rng = np.random.default_rng(7)
+    h, w = 9, 14
+    conf = rng.random((h, w)) < share
+    open_ = ~conf & (rng.random((h, w)) < 0.9)
+    offsets = geometry._flat_offsets(w + 2)
+    open_flat = refine._pad_flat(open_, False)
+    slot = np.empty(open_flat.size, dtype=np.intp)
+    got = refine._first_frontier(refine._pad_flat(conf, False), offsets,
+                                 open_flat.copy(), slot)
+    assert np.unique(got).size == got.size
+    # the open pixels next to a confident one, and from the open side every
+    # open pixel
+    padded = np.pad(conf, 1)
+    near = np.zeros_like(conf)
+    for dr, dc in geometry._NEIGHBOR_OFFSETS:
+        near |= padded[1 + dr:1 + dr + h, 1 + dc:1 + dc + w]
+    expect = open_ & near if share < 0.5 else open_
+    assert np.array_equal(np.sort(got),
+                          np.flatnonzero(refine._pad_flat(expect, False)))
+
+
+KITTI_H, KITTI_W = 72, 240
+
+
+def _kitti_like_inputs(seed):
+    """A 72x240 KITTI-like frame as the bench's mutual refinement builds
+    it: fx = 0.58 W, 0.54 m baseline, eight rect/disk objects at 3-30 m
+    over five object classes, depth bled by 4 px and two 10% label flips.
+    Returns the seg pass's inputs and the depth pass's states from the
+    refined labels."""
+    rng = np.random.default_rng(seed)
+    h, w = KITTI_H, KITTI_W
+    cam = geometry.Camera(0.58 * w, 1.92 * h, 0.5 * w - 0.5, 0.5 * h - 0.5)
+    objects = []
+    for i in range(8):
+        depth = float(rng.uniform(3.0, 30.0))
+        cls = i + 1 if i < 5 else int(rng.integers(1, 6))
+        if rng.random() < 0.5:
+            oh = int(rng.integers(h // 8, h // 2))
+            ow = int(rng.integers(w // 16, w // 4))
+            r0 = int(rng.integers(0, h - oh))
+            c0 = int(rng.integers(0, w - ow))
+            shape, params = "rect", (r0, c0, r0 + oh, c0 + ow)
+        else:
+            shape = "disk"
+            params = (rng.uniform(0, h), rng.uniform(0, w),
+                      rng.uniform(h / 16, h / 4))
+        objects.append(synth.ObjectSpec(shape, params, depth, cls,
+                                        int(rng.integers(2 ** 31))))
+    spec = synth.SceneSpec(h, w, cam, 0.54, 40.0, tuple(objects), 0,
+                           int(rng.integers(2 ** 31)))
+    left, right, depth, seg, _ = synth.render(spec)
+    bad_depth, bad_seg = synth.corrupt(depth, seg, synth.CorruptionSpec(
+        4, 0.1, int(rng.integers(2 ** 31))))
+    _, y_hat = synth.corrupt(depth, seg, synth.CorruptionSpec(
+        0, 0.1, int(rng.integers(2 ** 31))))
+    y_ref = refine_segmentation_with_depth(bad_seg, y_hat, bad_depth)
+    segmenter = synth.intensity_segmenter(64)
+    warped, valid = geometry.warp(right, bad_depth,
+                                  geometry.Pose.stereo_baseline(0.54), cam)
+    states = split_confidence_by_consistency(
+        bad_depth, y_ref, segmenter(left), segmenter(warped), valid,
+        np.unique(y_ref))
+    return bad_seg, y_hat, bad_depth, states
+
+
+def test_parallel_matches_reference_on_kitti_like_frame():
+    y, y_hat, depth, states = _kitti_like_inputs(1)
+    # most depth pixels are unreliable, so the depth pass starts from the
+    # confident side; most labels agree, so the seg pass starts from the
+    # open side
+    confident = sum(int(st.confident.sum()) for st in states)
+    assert confident < 0.2 * depth.size
+    assert (y == y_hat).mean() > 0.5
+    a = refine_segmentation_with_depth(y, y_hat, depth, impl="parallel")
+    b = refine_segmentation_with_depth(y, y_hat, depth, impl="reference")
+    assert np.array_equal(a, b) and not np.array_equal(a, y)
+    # the reference takes about half a second a pass here, so two caps and
+    # the fixed point
+    for cap in (1, 2, None):
+        cfg = RefineConfig(max_iterations=cap)
+        a = refine_depth_with_segmentation(depth, states, cfg, "parallel")
+        b = refine_depth_with_segmentation(depth, states, cfg, "reference")
+        assert np.array_equal(a, b), cap
+    assert not np.array_equal(a, depth)
+
+
+def test_depth_pass_peak_memory():
+    # a deterministic 72x240 frame with 85% of its pixels unreliable; a
+    # first iteration over every unreliable pixel peaked at 30 H*W*8 bytes
+    _, _, depth, states = _kitti_like_inputs(4)
+    unreliable = sum(int(st.unreliable.sum()) for st in states)
+    assert 0.8 < unreliable / depth.size < 0.9
+    tracemalloc.start()
+    try:
+        refine_depth_with_segmentation(depth, states)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20 * depth.size * 8
+
+
+@pytest.mark.parametrize("shape", [(12,), (3, 4, 2)])
+def test_passes_reject_maps_that_are_not_2d(shape):
+    depth = np.full(shape, 2.0)
+    y = np.zeros(shape, int)
+    conf = np.zeros(shape, bool)
+    for impl in ("parallel", "reference"):
+        with pytest.raises(RefineError, match="2-D"):
+            refine_segmentation_with_depth(y, y, depth, impl=impl)
+        with pytest.raises(RefineError, match="2-D"):
+            refine_depth_with_segmentation(
+                depth, [RefineState(confident=conf, unreliable=~conf)],
+                impl=impl)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.int64, np.uint8])
+def test_state_rejects_masks_that_are_not_bool(dtype):
+    conf = np.array([[1, 0, 1]], dtype=dtype)
+    with pytest.raises(RefineError, match="must be bool"):
+        RefineState(confident=conf, unreliable=1 - conf)
+    with pytest.raises(RefineError, match="must be bool"):
+        RefineState(confident=conf.astype(bool), unreliable=1 - conf)
+
+
+def test_state_rejects_masks_of_different_shapes():
+    with pytest.raises(RefineError, match="shape mismatch"):
+        RefineState(confident=np.ones((2, 3), bool),
+                    unreliable=np.zeros((3, 2), bool))
+
+
+@pytest.mark.parametrize("which", ["target", "source"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_refine_depth_full_rejects_nonfinite_images(which, bad):
+    img = np.random.default_rng(3).random((4, 6))
+    broken = img.copy()
+    broken[2, 3] = bad
+    target, source = (broken, img) if which == "target" else (img, broken)
+    for impl in ("parallel", "reference"):
+        with pytest.raises(RefineError, match="finite"):
+            refine_depth_full(np.full((4, 6), 3.0), np.zeros((4, 6), int),
+                              target, source, geometry.Pose.identity(),
+                              geometry.Camera(10, 10, 2.5, 1.5),
+                              synth.intensity_segmenter(64), impl=impl)
