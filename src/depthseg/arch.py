@@ -6,18 +6,21 @@ decoder-sharing levels l0 (encoder only) through l4 (whole decoder trunk
 shared). Nothing here instantiates a network; the module only answers
 "what shape comes out of each layer" and "how many parameters live where".
 
-Parameters are counted in one walk over a level's layers: each trunk layer,
-then each segmentation-specific layer, with its part (shared with the
-segmentation branch, depth only, or segmentation only) and its parameter
-count. ``branch_param_totals`` and ``report`` both read that walk; a branch
-layer that is weight-tied to a trunk conv reads its channels through the
-conv it is tied to and adds no parameters of its own.
+One walk over a level's layers, each trunk layer and then each
+segmentation-specific layer, gives its part (shared with the segmentation
+branch, depth only or segmentation only), its parameter count and its stride
+(input size / output size, from the encoder strides and the ``*N`` upsample
+factors). ``load_tables`` runs the walk once per level, so a malformed
+manifest fails at load, and ``branch_param_totals``, ``output_shapes`` and
+``report`` read it. A branch layer weight-tied to a trunk conv reads its
+channels and stride through that conv and adds no parameters of its own.
 """
 
 from __future__ import annotations
 
 import importlib.resources
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
 LEVELS = ("l0", "l1", "l2", "l3", "l4")
 ENCODERS = ("resnet18", "resnet50")
@@ -84,11 +87,8 @@ def _parse_layer(line: str) -> LayerSpec:
     name, inputs_str, k, chn, bn, act = parts
     inputs = []
     for token in inputs_str.split():
-        if "*" in token:
-            src, factor = token.split("*")
-            inputs.append((src, int(factor)))
-        else:
-            inputs.append((token, 1))
+        src, star, factor = token.partition("*")
+        inputs.append((src, int(factor) if star else 1))
     return LayerSpec(name=name, inputs=tuple(inputs), kernel=int(k),
                      out_channels=int(chn), batch_norm=bn == "bn",
                      activation=act)
@@ -131,6 +131,9 @@ def load_tables(text: str | None = None,
     for enc, spec in kv_lines("encoder_channels").items():
         encoder_channels[enc] = {tok.split(":")[0]: int(tok.split(":")[1])
                                  for tok in spec.split()}
+        missing = sorted(set(_ENCODER_STRIDES) - set(encoder_channels[enc]))
+        if missing:
+            raise ArchError(f"encoder {enc}: no channels for {missing}")
     encoder_params = {enc: int(v)
                       for enc, v in kv_lines("encoder_params").items()}
 
@@ -165,100 +168,91 @@ def load_tables(text: str | None = None,
     tables = DecoderTables(trunk=trunk, levels=levels,
                            encoder_channels=encoder_channels,
                            encoder_params=encoder_params)
-    _check_acyclic(tables)
+    for lvl in LEVELS:
+        _walk(tables, lvl, dict.fromkeys(_ENCODER_STRIDES, 1))
     return tables
 
 
-def _check_acyclic(tables: DecoderTables) -> None:
-    known = set(_ENCODER_STRIDES)
-    for layer in tables.trunk:
-        for src, _ in layer.inputs:
-            if src not in known:
-                raise ArchError(f"{layer.name}: input {src!r} not defined "
-                                "earlier")
-        known.add(layer.name)
-    for level in tables.levels.values():
-        seen = set(known) | set(level.tied)
-        for layer in level.specific:
-            for src, _ in layer.inputs:
-                if src not in seen:
-                    raise ArchError(f"{level.level}/{layer.name}: input "
-                                    f"{src!r} not defined earlier")
-            seen.add(layer.name)
+def _encoder_channels(tables: DecoderTables, encoder: str) -> dict[str, int]:
+    if encoder not in tables.encoder_channels:
+        raise ArchError(f"unknown encoder {encoder!r}")
+    return tables.encoder_channels[encoder]
+
+
+_Row = tuple[LayerSpec, str, int, Fraction]
 
 
 def _walk(tables: DecoderTables, level: str,
-          encoder: str) -> list[tuple[LayerSpec, str, int]]:
+          channels: dict[str, int]) -> list[_Row]:
     """Each trunk layer, then each of the level's segmentation-specific
-    layers, as (layer, part, parameters); part is "shared", "depth" or
-    "seg"."""
+    layers, as (layer, part, parameters, stride); part is "shared", "depth"
+    or "seg", and ``channels`` holds the encoder features' widths."""
     if level not in tables.levels:
         raise ArchError(f"unknown sharing level {level!r}")
-    if encoder not in tables.encoder_channels:
-        raise ArchError(f"unknown encoder {encoder!r}")
     lv = tables.levels[level]
-    channels = dict(tables.encoder_channels[encoder])
+    channels = dict(channels)
+    strides = {name: Fraction(s) for name, s in _ENCODER_STRIDES.items()}
     parts = [(layer, "shared" if layer.name in lv.shared else "depth")
              for layer in tables.trunk]
     parts += [(layer, "seg") for layer in lv.specific]
     walk = []
     for layer, part in parts:
-        n_in = sum(channels[lv.tied.get(src, src)] for src, _ in layer.inputs)
+        n_in, landed = 0, set()
+        for src, factor in layer.inputs:
+            src = lv.tied.get(src, src)
+            if src not in strides:
+                raise ArchError(f"{level}/{layer.name}: input {src!r} not "
+                                "defined earlier")
+            n_in += channels[src]
+            landed.add(strides[src] / factor)
+        if len(landed) != 1:
+            raise ArchError(f"{level}/{layer.name}: inputs must land at one "
+                            f"stride, got {[str(s) for s in sorted(landed)]}")
         channels[layer.name] = layer.out_channels
-        walk.append((layer, part, param_count(layer, n_in)))
+        strides[layer.name] = landed.pop()
+        walk.append((layer, part, param_count(layer, n_in),
+                     strides[layer.name]))
     return walk
 
 
-def _totals(walk: list[tuple[LayerSpec, str, int]]) -> tuple[int, int]:
+def _totals(walk: list[_Row]) -> tuple[int, int]:
     """(shared, segmentation-specific) parameters of a walk."""
-    return (sum(n for _, part, n in walk if part == "shared"),
-            sum(n for _, part, n in walk if part == "seg"))
+    return (sum(n for _, part, n, _ in walk if part == "shared"),
+            sum(n for _, part, n, _ in walk if part == "seg"))
 
 
 def branch_param_totals(tables: DecoderTables, level: str,
                         encoder: str) -> tuple[int, int]:
     """(shared decoder parameters, segmentation-specific parameters) for a
     sharing level and encoder."""
-    return _totals(_walk(tables, level, encoder))
+    return _totals(_walk(tables, level, _encoder_channels(tables, encoder)))
 
 
 def output_shapes(tables: DecoderTables, level: str, encoder: str,
                   input_hw: tuple[int, int]) -> dict[str, tuple[int, int, int]]:
     """Per-layer (H, W, C) for the trunk plus the level's specific layers."""
-    if level not in tables.levels:
-        raise ArchError(f"unknown sharing level {level!r}")
     h, w = input_hw
     if h <= 0 or w <= 0:
         raise ArchError("input height and width must be positive")
     if h % 32 or w % 32:
         raise ArchError("input height and width must be divisible by 32")
-    if encoder not in tables.encoder_channels:
-        raise ArchError(f"unknown encoder {encoder!r}")
-    channels = tables.encoder_channels[encoder]
+    channels = _encoder_channels(tables, encoder)
     shapes = {name: (h // s, w // s, channels[name])
               for name, s in _ENCODER_STRIDES.items()}
-    lv = tables.levels[level]
-    for layer in (*tables.trunk, *lv.specific):
-        resolutions = set()
-        for src, factor in layer.inputs:
-            sh, sw, _ = shapes[lv.tied.get(src, src)]
-            resolutions.add((sh * factor, sw * factor))
-        if len(resolutions) != 1:
-            raise ArchError(f"{layer.name}: inputs land at mixed resolutions "
-                            f"{sorted(resolutions)}")
-        oh, ow = resolutions.pop()
-        shapes[layer.name] = (oh, ow, layer.out_channels)
+    for layer, _, _, stride in _walk(tables, level, channels):
+        shapes[layer.name] = (int(h / stride), int(w / stride),
+                              layer.out_channels)
     return shapes
 
 
 def report(tables: DecoderTables, level: str, encoder: str,
            input_hw: tuple[int, int] = (192, 640)) -> str:
     """Human-readable shape/parameter summary used by the CLI."""
-    walk = _walk(tables, level, encoder)
+    walk = _walk(tables, level, _encoder_channels(tables, encoder))
     shapes = output_shapes(tables, level, encoder, input_hw)
     lines = [f"level {level}  encoder {encoder}  input "
              f"{input_hw[0]}x{input_hw[1]}"]
-    for layer, part, n in walk:
+    for layer, part, n, _ in walk:
         hh, ww, cc = shapes[layer.name]
         lines.append(f"  {part:6s} {layer.name:9s} {hh:4d}x{ww:<4d}x{cc:<4d} "
                      f"params {n:>9d}")

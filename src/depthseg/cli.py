@@ -64,9 +64,8 @@ def _plane(t: tensorio.Tensor2D, dtype=np.float64) -> np.ndarray:
 
 
 def _save(arr: np.ndarray, dtype_name: str, path) -> None:
-    arr = np.asarray(arr)
-    target = {"f32": np.float32, "u8": np.uint8, "i32": np.int32}[dtype_name]
-    tensorio.save_tensor(tensorio.Tensor2D(arr.astype(target)), path)
+    tensorio.save_tensor(tensorio.Tensor2D(
+        np.asarray(arr).astype(tensorio.DTYPE_NAMES[dtype_name])), path)
 
 
 def cmd_synth(args) -> int:
@@ -119,10 +118,8 @@ def cmd_refine_depth(args) -> int:
     img_t = tensorio.to_float(_load(args.target)).data
     img_s = tensorio.to_float(_load(args.src)).data
     cam, pose = geometry.load_camera_pose(args.camera)
-    cfg = refine.RefineConfig(depth_threshold=args.th)
-    segmenter = synth.intensity_segmenter()
     refined = refine.refine_depth_full(depth, y, img_t, img_s, pose, cam,
-                                       segmenter, cfg)
+                                       synth.intensity_segmenter())
     _save(refined, "f32", args.out)
     print(f"adjusted {int((refined != depth).sum())} pixels")
     return EXIT_OK
@@ -218,7 +215,6 @@ def build_parser() -> _Parser:
     p.add_argument("--target", required=True)
     p.add_argument("--src", required=True)
     p.add_argument("--camera", required=True)
-    p.add_argument("--th", type=float, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_refine_depth)
 

@@ -261,10 +261,7 @@ def flip_postprocess(d: np.ndarray, d_flipped: np.ndarray) -> np.ndarray:
 
 def downsample2x_area(img: np.ndarray) -> np.ndarray:
     """2x area (box) downsampling; H and W must be even."""
-    img = np.asarray(img, dtype=np.float64)
-    squeeze = img.ndim == 2
-    if squeeze:
-        img = img[:, :, None]
+    img, squeeze = _as_resample_input(img, "image")
     h, w, c = img.shape
     if h % 2 or w % 2:
         raise GeometryError("downsample2x_area requires even dimensions")

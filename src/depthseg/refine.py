@@ -405,7 +405,6 @@ def refine_depth_full(depth: np.ndarray, y_refined: np.ndarray,
                       pose: geometry.Pose, cam: geometry.Camera,
                       segmenter: Segmenter,
                       cfg: RefineConfig = RefineConfig(),
-                      classes: Sequence[int] | None = None,
                       impl: str = "parallel") -> np.ndarray:
     """Full depth refinement pass: warp the source view, segment both views,
     split by consistency, then propagate confident depth within each
@@ -419,8 +418,6 @@ def refine_depth_full(depth: np.ndarray, y_refined: np.ndarray,
     y_st = np.asarray(segmenter(warped))
     if y_t.shape != depth.shape or y_st.shape != depth.shape:
         raise RefineError("segmenter output shape mismatch")
-    if classes is None:
-        classes = np.unique(y_refined)
     states = split_confidence_by_consistency(depth, y_refined, y_t, y_st,
-                                             valid, classes)
+                                             valid, np.unique(y_refined))
     return refine_depth_with_segmentation(depth, states, cfg, impl=impl)

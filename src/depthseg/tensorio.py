@@ -4,20 +4,24 @@ Two on-disk formats are supported:
 
 * ``STN1`` binary tensor container: one ASCII header line
   ``STN1 <dtype> <H> <W> <C>\\n`` followed by the raw little-endian payload.
-* binary PGM/PPM (``P5``/``P6``, maxval 255) for previews.
+* binary PGM/PPM (``P5``/``P6``, maxval 255) for previews: the magic, then
+  width, height and maxval, each after whitespace or ``#`` comments (each to
+  the end of its line), then one whitespace byte and the raw payload.
 """
 
 from __future__ import annotations
 
+import math
 import os
+import re
 import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
 
 DTYPE_NAMES = {"f32": np.dtype("<f4"), "u8": np.dtype("u1"), "i32": np.dtype("<i4")}
-_NAME_BY_KIND = {np.dtype(np.float32): "f32", np.dtype(np.uint8): "u8",
-                 np.dtype(np.int32): "i32"}
+_NAME_BY_KIND = {dt: name for name, dt in DTYPE_NAMES.items()}
+_PNM_HEADER = re.compile(rb"P[56]" + rb"(?:\s|#[^\n]*\n)+(\d+)" * 3 + rb"\s")
 
 
 class TensorError(ValueError):
@@ -85,8 +89,6 @@ def atomic_write_bytes(path, payload: bytes) -> None:
 
 
 def save_tensor(t: Tensor2D, path) -> None:
-    if not isinstance(t, Tensor2D):
-        t = Tensor2D(t)
     header = f"STN1 {t.dtype_name} {t.height} {t.width} {t.channels}\n"
     payload = t.data.astype(DTYPE_NAMES[t.dtype_name], copy=False).tobytes()
     atomic_write_bytes(path, header.encode("ascii") + payload)
@@ -105,24 +107,26 @@ def load_tensor(path) -> Tensor2D:
     if name not in DTYPE_NAMES:
         raise TensorError(f"{path}: unsupported dtype {name!r}")
     try:
-        h, w, c = (int(x) for x in fields[2:])
+        shape = tuple(int(x) for x in fields[2:])
     except ValueError as e:
         raise TensorError(f"{path}: malformed header: {e}") from None
-    if h <= 0 or w <= 0 or c <= 0:
-        raise TensorError(f"{path}: degenerate shape rejected ({h}x{w}x{c})")
-    dt = DTYPE_NAMES[name]
-    expected = h * w * c * dt.itemsize
+    return _payload(path, body, DTYPE_NAMES[name], shape)
+
+
+def _payload(path, body: bytes, dt: np.dtype, shape) -> Tensor2D:
+    """The (H, W, C) tensor of ``dt`` values that ``body`` holds."""
+    if min(shape) <= 0:
+        raise TensorError(f"{path}: degenerate shape rejected "
+                          f"({'x'.join(map(str, shape))})")
+    expected = math.prod(shape) * dt.itemsize
     if len(body) != expected:
         raise TensorError(
             f"{path}: payload length mismatch (got {len(body)}, want {expected})")
-    arr = np.frombuffer(body, dtype=dt).reshape(h, w, c)
-    # frombuffer gives a read-only view; Tensor2D copies into contiguous storage
-    return Tensor2D(arr.copy())
+    # frombuffer gives a read-only view; Tensor2D keeps a copy it owns
+    return Tensor2D(np.frombuffer(body, dtype=dt).reshape(shape).copy())
 
 
 def write_pgm_ppm(t: Tensor2D, path) -> None:
-    if not isinstance(t, Tensor2D):
-        t = Tensor2D(t)
     if t.dtype_name != "u8":
         raise TensorError("PGM/PPM export requires u8 data")
     if t.channels == 1:
@@ -145,46 +149,19 @@ def read_pgm_ppm(path) -> Tensor2D:
         raise TensorError(f"{path}: only binary PGM/PPM (P5/P6) supported")
     if magic not in (b"P5", b"P6"):
         raise TensorError(f"{path}: not a PGM/PPM file")
-    channels = 1 if magic == b"P5" else 3
-    # header: magic, width, height, maxval as whitespace-separated tokens,
-    # then a single whitespace byte before the payload
-    pos = 2
-    tokens = []
-    while len(tokens) < 3:
-        while pos < len(raw) and raw[pos:pos + 1].isspace():
-            pos += 1
-        if pos < len(raw) and raw[pos:pos + 1] == b"#":
-            while pos < len(raw) and raw[pos] != 0x0A:
-                pos += 1
-            continue
-        start = pos
-        while pos < len(raw) and not raw[pos:pos + 1].isspace():
-            pos += 1
-        if start == pos:
-            raise TensorError(f"{path}: truncated header")
-        tokens.append(raw[start:pos])
-    pos += 1  # the single whitespace after maxval
-    try:
-        width, height, maxval = (int(tok) for tok in tokens)
-    except ValueError:
-        raise TensorError(f"{path}: malformed header tokens {tokens!r}") from None
+    header = _PNM_HEADER.match(raw)
+    if header is None:
+        raise TensorError(f"{path}: malformed or truncated header")
+    width, height, maxval = (int(g) for g in header.groups())
     if maxval != 255:
         raise TensorError(f"{path}: only maxval 255 supported, got {maxval}")
-    if width <= 0 or height <= 0:
-        raise TensorError(f"{path}: degenerate shape rejected")
-    body = raw[pos:]
-    expected = width * height * channels
-    if len(body) != expected:
-        raise TensorError(
-            f"{path}: payload length mismatch (got {len(body)}, want {expected})")
-    arr = np.frombuffer(body, dtype=np.uint8).reshape(height, width, channels)
-    return Tensor2D(arr.copy())
+    channels = 1 if magic == b"P5" else 3
+    return _payload(path, raw[header.end():], DTYPE_NAMES["u8"],
+                    (height, width, channels))
 
 
 def to_float(t: Tensor2D) -> Tensor2D:
     """u8 image -> f32 in [0, 1]; f32 passes through unchanged."""
-    if not isinstance(t, Tensor2D):
-        t = Tensor2D(t)
     if t.dtype_name == "f32":
         return t
     if t.dtype_name != "u8":
@@ -194,8 +171,6 @@ def to_float(t: Tensor2D) -> Tensor2D:
 
 def to_u8(t: Tensor2D) -> Tensor2D:
     """f32 in [0, 1] -> u8 (clipped and rounded); u8 passes through."""
-    if not isinstance(t, Tensor2D):
-        t = Tensor2D(t)
     if t.dtype_name == "u8":
         return t
     arr = np.clip(np.rint(t.data.astype(np.float64) * 255.0), 0, 255)

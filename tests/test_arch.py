@@ -44,6 +44,22 @@ def test_manifest_rejects_undefined_input():
         load_tables(bad + "[seg_l0]\n[seg_l1]\n[seg_l2]\n[seg_l3]\n[seg_l4]\n")
 
 
+def test_manifest_rejects_inputs_at_mixed_strides():
+    # upconv5 lands at stride 16 and econv3 at stride 8
+    text = arch._read_manifest_text().replace(
+        "iconv5  | upconv5 econv4 |", "iconv5  | upconv5 econv3 |")
+    with pytest.raises(ArchError, match=r"l0/iconv5: inputs must land at "
+                                        r"one stride, got \['8', '16'\]"):
+        load_tables(text)
+
+
+def test_manifest_rejects_encoder_without_a_feature():
+    text = arch._read_manifest_text().replace("econv3:128 ", "")
+    with pytest.raises(ArchError,
+                       match=r"encoder resnet18: no channels for \['econv3'\]"):
+        load_tables(text)
+
+
 @pytest.mark.parametrize("encoder", arch.ENCODERS)
 def test_specific_params_strictly_decrease(tables, encoder):
     specifics = [arch.branch_param_totals(tables, lvl, encoder)[1]

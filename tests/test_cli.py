@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -100,11 +102,11 @@ def test_synth_preview_writes_left_pgm(tmp_path):
 def test_synth_idempotent(tmp_path):
     prefix = write_scene(tmp_path)
     first = (str(prefix) + "_left.stn", )
-    payload = open(first[0], "rb").read()
+    payload = Path(first[0]).read_bytes()
     cfg = tmp_path / "scene.cfg"
     assert run(["synth", "--config", str(cfg),
                 "--out-prefix", str(prefix)]) == 0
-    assert open(first[0], "rb").read() == payload
+    assert Path(first[0]).read_bytes() == payload
 
 
 def test_warp_matches_library(tmp_path, capsys):
@@ -243,7 +245,8 @@ def test_loss_command_prints_value(tmp_path, capsys):
 def test_removed_options_are_usage_errors(tmp_path, capsys):
     # the loss command computes no total and no gradient mix, the
     # refine-depth segmenter's 64 buckets match the texture's stripe bands,
-    # and both refinements use the 8-neighborhood
+    # the depth pass reads no threshold, and both refinements use the
+    # 8-neighborhood
     prefix = write_scene(tmp_path)
     capsys.readouterr()
     loss = ["loss", "photometric", "--a", str(prefix) + "_left.stn",
@@ -263,7 +266,8 @@ def test_removed_options_are_usage_errors(tmp_path, capsys):
                          (loss, ["--beta2", "7"]),
                          (refine_depth, ["--seg-levels", "32"]),
                          (refine_seg, ["--radius", "2"]),
-                         (refine_depth, ["--radius", "2"])):
+                         (refine_depth, ["--radius", "2"]),
+                         (refine_depth, ["--th", "0.1"])):
         assert run(argv + option) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -472,7 +476,7 @@ options:
 
 REFINE_DEPTH_HELP = """\
 usage: depthseg refine-depth [-h] --depth DEPTH --y Y --target TARGET --src
-                             SRC --camera CAMERA [--th TH] --out OUT
+                             SRC --camera CAMERA --out OUT
 
 options:
   -h, --help       show this help message and exit
@@ -481,7 +485,6 @@ options:
   --target TARGET
   --src SRC
   --camera CAMERA
-  --th TH
   --out OUT
 """
 

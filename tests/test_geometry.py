@@ -369,6 +369,8 @@ def test_resamplers_reject_empty_or_misshapen_sources(img):
         geometry.upsample_bilinear(img, (4, 4))
     with pytest.raises(GeometryError):
         bilinear_sample(img, np.zeros((2, 2, 2)))
+    with pytest.raises(GeometryError):
+        geometry.downsample2x_area(img)
 
 
 @pytest.mark.parametrize("coords_shape", [(3, 4, 3), (3, 4, 1), (3, 4), ()])

@@ -71,6 +71,12 @@ def test_pgm_roundtrip(tmp_path):
     tensorio.write_pgm_ppm(Tensor2D(arr), path)
     back = tensorio.read_pgm_ppm(path)
     assert back == Tensor2D(arr)
+    # comments between the numbers, one directly after a number too
+    for header in (b"P5\n# written by hand\n9 5\n255\n",
+                   b"P5#comment\n9\t5 # size\n# maxval\n255\r",
+                   b"P5 9#c\n 5\n255 "):
+        path.write_bytes(header + arr.tobytes())
+        assert tensorio.read_pgm_ppm(path) == Tensor2D(arr)
 
 
 def test_ppm_roundtrip(tmp_path):
@@ -79,6 +85,23 @@ def test_ppm_roundtrip(tmp_path):
     path = tmp_path / "img.ppm"
     tensorio.write_pgm_ppm(Tensor2D(arr), path)
     assert tensorio.read_pgm_ppm(path) == Tensor2D(arr)
+    path.write_bytes(b"P6\n# written by hand\n9 5 #\n255\n" + arr.tobytes())
+    assert tensorio.read_pgm_ppm(path) == Tensor2D(arr)
+
+
+@pytest.mark.parametrize("raw", [
+    b"P5\n2",                  # truncated header
+    b"P5\n2 2\n255",           # no whitespace byte after maxval
+    b"P6 2 2 #unterminated",
+    b"P5 2 x 255\n" + b"\0" * 4,
+    b"P5 0 2 255\n",
+    b"P6 1 1 255\n\0\0",       # short payload
+])
+def test_pnm_rejects_malformed_header_or_payload(tmp_path, raw):
+    path = tmp_path / "img.pgm"
+    path.write_bytes(raw)
+    with pytest.raises(TensorError):
+        tensorio.read_pgm_ppm(path)
 
 
 def test_ascii_pnm_rejected(tmp_path):
