@@ -80,6 +80,14 @@ class DecoderTables:
     encoder_params: dict[str, int]
 
 
+def _int(token: str, line: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ArchError(f"{token!r} is not an integer in line {line!r}"
+                        ) from None
+
+
 def _parse_layer(line: str) -> LayerSpec:
     parts = [p.strip() for p in line.split("|")]
     if len(parts) != 6:
@@ -88,9 +96,9 @@ def _parse_layer(line: str) -> LayerSpec:
     inputs = []
     for token in inputs_str.split():
         src, star, factor = token.partition("*")
-        inputs.append((src, int(factor) if star else 1))
-    return LayerSpec(name=name, inputs=tuple(inputs), kernel=int(k),
-                     out_channels=int(chn), batch_norm=bn == "bn",
+        inputs.append((src, _int(factor, line) if star else 1))
+    return LayerSpec(name=name, inputs=tuple(inputs), kernel=_int(k, line),
+                     out_channels=_int(chn, line), batch_norm=bn == "bn",
                      activation=act)
 
 
@@ -120,6 +128,11 @@ def load_tables(text: str | None = None,
         else:
             sections[current].append(line.strip())
 
+    def section(name):
+        if name not in sections:
+            raise ArchError(f"missing section [{name}]")
+        return sections[name]
+
     def kv_lines(name):
         out = {}
         for line in sections.get(name, ()):
@@ -129,22 +142,27 @@ def load_tables(text: str | None = None,
 
     encoder_channels = {}
     for enc, spec in kv_lines("encoder_channels").items():
-        encoder_channels[enc] = {tok.split(":")[0]: int(tok.split(":")[1])
-                                 for tok in spec.split()}
+        encoder_channels[enc] = {}
+        for tok in spec.split():
+            feature, colon, width = tok.partition(":")
+            if not colon:
+                raise ArchError(f"encoder {enc}: {tok!r} is not "
+                                "feature:channels")
+            encoder_channels[enc][feature] = _int(width, f"{enc} = {spec}")
         missing = sorted(set(_ENCODER_STRIDES) - set(encoder_channels[enc]))
         if missing:
             raise ArchError(f"encoder {enc}: no channels for {missing}")
-    encoder_params = {enc: int(v)
+    encoder_params = {enc: _int(v, f"{enc} = {v}")
                       for enc, v in kv_lines("encoder_params").items()}
 
-    trunk = tuple(_parse_layer(line) for line in sections["depth_decoder"])
+    trunk = tuple(_parse_layer(line) for line in section("depth_decoder"))
     trunk_names = {layer.name for layer in trunk}
     shared_lists = {lvl: tuple(v.split())
                     for lvl, v in kv_lines("sharing_levels").items()}
 
     levels = {}
     for lvl in LEVELS:
-        layers = [_parse_layer(line) for line in sections[f"seg_{lvl}"]]
+        layers = [_parse_layer(line) for line in section(f"seg_{lvl}")]
         if num_classes is not None:
             layers = [replace(sp, out_channels=num_classes)
                       if sp.name == "sconv3" else sp for sp in layers]

@@ -60,6 +60,33 @@ def test_manifest_rejects_encoder_without_a_feature():
         load_tables(text)
 
 
+def test_manifest_rejects_encoder_token_without_a_colon():
+    text = arch._read_manifest_text().replace("econv1:64 econv2:64",
+                                              "econv1 econv2:64")
+    with pytest.raises(ArchError, match=r"encoder resnet18: 'econv1' is not "
+                                        r"feature:channels"):
+        load_tables(text)
+
+
+@pytest.mark.parametrize("old, new, token", [
+    ("upconv5 | econv5*2       | 3 |", "upconv5 | econv5*2       | 3x |",
+     "3x"),
+    ("upconv5 | econv5*2 ", "upconv5 | econv5*x ", "x"),
+])
+def test_manifest_rejects_non_integer_kernel_or_factor(old, new, token):
+    text = arch._read_manifest_text().replace(old, new)
+    with pytest.raises(ArchError, match=rf"'{token}' is not an integer in "
+                                        r"line 'upconv5 \| econv5\*"):
+        load_tables(text)
+
+
+def test_manifest_rejects_missing_level_section():
+    text = arch._read_manifest_text()
+    text = text[:text.index("[seg_l3]")] + text[text.index("[seg_l4]"):]
+    with pytest.raises(ArchError, match=r"missing section \[seg_l3\]"):
+        load_tables(text)
+
+
 @pytest.mark.parametrize("encoder", arch.ENCODERS)
 def test_specific_params_strictly_decrease(tables, encoder):
     specifics = [arch.branch_param_totals(tables, lvl, encoder)[1]

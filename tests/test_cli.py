@@ -175,6 +175,16 @@ def test_refine_seg_matches_library(tmp_path, capsys):
     assert str(int((expect != y).sum())) in printed
 
 
+@pytest.mark.parametrize("th", ["inf", "nan", "0", "-1"])
+def test_refine_seg_bad_threshold_exit_code_2(tmp_path, capsys, th):
+    argv = refine_seg_inputs(tmp_path)[0]
+    out = tmp_path / "refined.stn"
+    assert run(argv + ["--th", th, "--out", str(out)]) == 2
+    assert "depth_threshold must be positive and finite" in \
+        capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_refine_depth_restores_bleed(tmp_path):
     prefix = write_scene(tmp_path)
     cam_file = tmp_path / "cam.txt"

@@ -15,6 +15,9 @@ from depthseg.refine import (RefineConfig, RefineError, RefineState,
 def test_config_validation():
     with pytest.raises(RefineError):
         RefineConfig(depth_threshold=0.0)
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(RefineError, match="positive and finite"):
+            RefineConfig(depth_threshold=bad)
     # the neighborhood is the 8-neighborhood; no setting changes it
     with pytest.raises(TypeError):
         RefineConfig(neighborhood_radius=1)
@@ -161,6 +164,57 @@ def test_depth_classes_do_not_interact():
     assert out[0, 1] == 50.0
 
 
+@pytest.mark.parametrize("impl", ["parallel", "reference"])
+def test_depth_seam_pixel_takes_only_its_own_class_range(impl):
+    # class 0 in columns 0-2, class 1 in columns 3-4, confident at the two
+    # ends. Iteration 1 confirms columns 1 and 3; in iteration 2 the column 2
+    # pixels border newly confirmed pixels of both classes and must clip
+    # into the class-0 range [2, 3] alone, not [2, 8]
+    depth = np.array([[2.0, 5.0, 6.0, 1.0, 9.0],
+                      [3.0, 0.5, 2.5, 8.0, 7.0]])
+    seg = np.array([[0, 0, 0, 1, 1]] * 2)
+    conf = np.array([[True, False, False, False, True]] * 2)
+    states = [RefineState(confident=(seg == k) & conf,
+                          unreliable=(seg == k) & ~conf) for k in (0, 1)]
+    first = refine_depth_with_segmentation(
+        depth, states, RefineConfig(max_iterations=1), impl)
+    assert np.array_equal(first, [[2.0, 3.0, 6.0, 7.0, 9.0],
+                                  [3.0, 2.0, 2.5, 8.0, 7.0]])
+    out = refine_depth_with_segmentation(depth, states, impl=impl)
+    assert np.array_equal(out, [[2.0, 3.0, 3.0, 7.0, 9.0],
+                                [3.0, 2.0, 2.5, 8.0, 7.0]])
+
+
+def test_depth_pass_from_the_open_side_matches_reference_at_every_cap():
+    # 92% of the pixels confident, as in the CLI pipeline's frames: the
+    # first pushers are only the confident pixels next to an open one. A
+    # 6x6 open block takes the wavefront more than one iteration deep
+    rng = np.random.default_rng(92)
+    h, w = 20, 32
+    depth = rng.random((h, w)) * 4 + 1
+    conf = rng.random((h, w)) < 0.96
+    conf[6:12, 10:16] = False
+    assert 0.9 < conf.mean() < 0.94
+    seg = np.kron(rng.integers(0, 3, (h // 2, w // 2)), np.ones((2, 2), int))
+    states = [RefineState(confident=(seg == k) & conf,
+                          unreliable=(seg == k) & ~conf) for k in range(3)]
+    offsets = geometry._flat_offsets(w + 2)
+    open_flat = refine._pad_flat(~conf, False)
+    pushers = refine._first_frontier(
+        open_flat, offsets, refine._pad_flat(conf, False),
+        np.empty(open_flat.size, dtype=np.intp))
+    assert 0 < pushers.size < conf.sum()
+    full = refine_depth_with_segmentation(depth, states, impl="reference")
+    n = max(_wavefront_depth(st.confident, st.unreliable) for st in states)
+    assert n >= 2
+    for cap in (*range(1, n + 2), None):
+        cfg = RefineConfig(max_iterations=cap)
+        a = refine_depth_with_segmentation(depth, states, cfg, "parallel")
+        b = refine_depth_with_segmentation(depth, states, cfg, "reference")
+        assert np.array_equal(a, b), cap
+    assert np.array_equal(a, full) and not np.array_equal(a, depth)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_depth_rejects_nonfinite_depth(bad):
     depth = np.array([[2.0, bad, 2.2]])
@@ -222,6 +276,34 @@ def test_refine_depth_full_rejects_fractional_labels():
     seg = _half_fractional_labels()
     img = np.random.default_rng(2).random((4, 6))
     with pytest.raises(RefineError, match=r"classes \[1\.5\] present"):
+        refine_depth_full(np.full((4, 6), 3.0), seg, img, img,
+                          geometry.Pose.identity(),
+                          geometry.Camera(10, 10, 2.5, 1.5),
+                          lambda im: np.zeros(np.shape(im), np.int32))
+
+
+@pytest.mark.parametrize("classes", [(0, 1.5), (0, "1"), (0, np.nan),
+                                     (0, np.inf), (0, None)])
+def test_split_by_consistency_rejects_non_integral_class_ids(classes):
+    seg = np.array([[0, 1], [1, 0]])
+    with pytest.raises(RefineError, match="not an integral number"):
+        split_confidence_by_consistency(np.ones((2, 2)), seg, seg, seg,
+                                        np.ones((2, 2), bool), classes)
+
+
+def test_split_by_consistency_takes_integral_float_class_ids():
+    seg = np.array([[0, 1], [1, 0]])
+    for classes in ((0.0, 1.0), np.array([0.0, 1.0]), np.unique(seg)):
+        states = split_confidence_by_consistency(
+            np.ones((2, 2)), seg, seg, seg, np.ones((2, 2), bool), classes)
+        assert [int(st.confident.sum()) for st in states] == [2, 2]
+
+
+def test_refine_depth_full_rejects_nan_labels():
+    seg = np.zeros((4, 6))
+    seg[1, 2] = np.nan
+    img = np.random.default_rng(2).random((4, 6))
+    with pytest.raises(RefineError, match=r"classes \[nan\] present"):
         refine_depth_full(np.full((4, 6), 3.0), seg, img, img,
                           geometry.Pose.identity(),
                           geometry.Camera(10, 10, 2.5, 1.5),
@@ -435,6 +517,18 @@ def test_first_frontier_holds_every_pixel_that_can_be_confirmed(share):
     for dr, dc in geometry._NEIGHBOR_OFFSETS:
         near |= padded[1 + dr:1 + dr + h, 1 + dc:1 + dc + w]
     expect = open_ & near if share < 0.5 else open_
+    assert np.array_equal(np.sort(got),
+                          np.flatnonzero(refine._pad_flat(expect, False)))
+    # the depth pass's first pushers: the confident pixels next to an open
+    # one, and from the confident side every confident pixel
+    got = refine._first_frontier(open_flat, offsets,
+                                 refine._pad_flat(conf, False), slot)
+    assert np.unique(got).size == got.size
+    padded = np.pad(open_, 1)
+    near = np.zeros_like(conf)
+    for dr, dc in geometry._NEIGHBOR_OFFSETS:
+        near |= padded[1 + dr:1 + dr + h, 1 + dc:1 + dc + w]
+    expect = conf & near if open_.sum() < conf.sum() else conf
     assert np.array_equal(np.sort(got),
                           np.flatnonzero(refine._pad_flat(expect, False)))
 
