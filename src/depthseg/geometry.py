@@ -5,13 +5,20 @@ All images are numpy arrays of shape (H, W) or (H, W, C); depth maps are
 (H, W) float arrays in meters. Sample-coordinate fields are (H, W, 2) arrays
 holding (u, v) = (column, row) positions into the source image.
 
-Cost model of the warp path. ``project`` back-projects through per-row and
+Cost model of the warp path: each kernel is a chain of full-frame passes,
+so the cost is their number. ``project`` back-projects through per-row and
 per-column factors and applies the pose one rotation row at a time, so it
-makes no pixel grid, point cloud or matrix product. ``bilinear_sample``
-gathers the four neighbors of each sample through one flat index into the
-source. ``upsample_bilinear`` is separable: it gathers whole rows, then
-columns, and never builds a coordinate field. Each pixel still gets the
-same arithmetic as the general sampler.
+makes no pixel grid, point cloud or matrix product. It skips every term
+whose coefficient is exactly 0, multiplies by no coefficient of exactly 1
+and adds no zero translation, none of which rounds: a rectified stereo pose
+costs one product per coordinate. u and v are written in place into two
+contiguous planes. ``bilinear_sample`` gathers the four neighbors of each
+sample through one flat index into the source. It reads those planes
+without a stride, weights one channel without a channel axis, and sums the
+four weighted gathers in place, in the order of the formula, through one
+scratch buffer. ``upsample_bilinear`` is separable: it gathers whole rows,
+then columns, and never builds a coordinate field. Each pixel still gets
+the same arithmetic as the general sampler.
 
 The module also holds private helpers the other modules share: the
 8-neighborhood offsets, as flat steps into a padded array for the
@@ -124,14 +131,14 @@ def _check_map(arr: np.ndarray, error: type[Exception], message: str,
 
 
 def _as_resample_input(img, name: str) -> tuple[np.ndarray, bool]:
-    """``img`` as a non-empty float64 (H, W, C) array, and whether it was
-    (H, W)."""
+    """``img`` as a non-empty, finite float64 (H, W, C) array, and whether
+    it was (H, W)."""
     img = np.asarray(img, dtype=np.float64)
     if img.ndim not in (2, 3):
         raise GeometryError(f"{name} must be (H, W) or (H, W, C), got shape "
                             f"{img.shape}")
-    if img.size == 0:
-        raise GeometryError(f"{name} is empty: shape {img.shape}")
+    _check_map(img, GeometryError,
+               f"{name} must be non-empty and finite (shape {img.shape})")
     if img.ndim == 2:
         return img[:, :, None], True
     return img, False
@@ -158,8 +165,10 @@ def project(depth: np.ndarray, pose: Pose,
     Both views have the intrinsics ``cam``.
 
     Returns (coords, valid): coords is (H, W, 2) with (u, v) sample positions
-    in the source image; valid is False where the projected depth is
-    non-positive or the sample leaves the source frame.
+    in the source image, and 0 where valid is False. It is a view of two
+    contiguous (H, W) planes, so not C-contiguous itself. valid is False
+    where the projected depth is non-positive or the sample leaves the
+    source frame.
     """
     depth = np.asarray(depth, dtype=np.float64)
     if depth.ndim != 2:
@@ -168,59 +177,129 @@ def project(depth: np.ndarray, pose: Pose,
                "depth must be finite and positive everywhere", low=0.0)
     h, w = depth.shape
     # target-frame points (x, y, depth): per-column and per-row factors
-    x = ((np.arange(w, dtype=np.float64) - cam.cx) / cam.fx) * depth
-    y = ((np.arange(h, dtype=np.float64) - cam.cy) / cam.fy)[:, None] * depth
+    # times the depth
+    factors = ((np.arange(w, dtype=np.float64) - cam.cx) / cam.fx,
+               ((np.arange(h, dtype=np.float64) - cam.cy) / cam.fy)[:, None])
     r, t = pose.rotation, pose.translation
+    scratch = (np.empty_like(depth)
+               if (np.count_nonzero(r, axis=1) > 1).any() else None)
 
-    def source(i):
-        return r[i, 0] * x + r[i, 1] * y + r[i, 2] * depth + t[i]
+    def source(i, out):
+        """Row i of the pose applied to every point, summed left to right
+        in ``out``: r[i, 0]*x + r[i, 1]*y + r[i, 2]*depth + t[i], or the
+        depth itself when that is the whole sum. A term whose coefficient
+        is exactly 0 is skipped, and a coefficient of exactly 1 multiplies
+        nothing. Neither rounds, so at most the sign of an exact-zero
+        coordinate differs from the full sum."""
+        acc = None
+        for j, c in enumerate(r[i]):
+            if c == 0:
+                continue
+            buf = out if acc is None else scratch
+            if j == 2:
+                term = depth if c == 1 else np.multiply(c, depth, out=buf)
+            else:
+                term = np.multiply(factors[j], depth, out=buf)
+                if c != 1:
+                    term *= c
+            if acc is None:
+                acc = term
+            else:
+                acc += term
+        if t[i] != 0:
+            acc = np.add(acc, t[i], out=out)
+        return acc
 
-    z = source(2)
+    z = source(2, np.empty_like(depth))
     valid = z > 1e-9
     z_safe = np.where(valid, z, 1.0)
-    coords = np.zeros((h, w, 2))
-    u_s = cam.fx * source(0) / z_safe + cam.cx
-    v_s = cam.fy * source(1) / z_safe + cam.cy
-    valid &= (u_s >= 0) & (u_s <= w - 1) & (v_s >= 0) & (v_s <= h - 1)
-    np.copyto(coords[..., 0], u_s, where=valid)
-    np.copyto(coords[..., 1], v_s, where=valid)
-    return coords, valid
+    del z
+    planes = np.empty((2, h, w))
+    inside = np.empty_like(valid)
+    for i, (f, c, hi) in enumerate(((cam.fx, cam.cx, w - 1),
+                                    (cam.fy, cam.cy, h - 1))):
+        plane = planes[i]
+        np.multiply(f, source(i, plane), out=plane)
+        plane /= z_safe
+        plane += c
+        valid &= np.greater_equal(plane, 0, out=inside)
+        valid &= np.less_equal(plane, hi, out=inside)
+    np.copyto(planes, 0.0, where=np.logical_not(valid, out=inside))
+    return planes.transpose(1, 2, 0), valid
 
 
 def bilinear_sample(src: np.ndarray,
                     coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Bilinearly sample ``src`` at (u, v) positions.
+    """Bilinearly sample ``src`` at (u, v) positions. ``coords`` is any
+    array whose last axis holds (u, v), such as an (H, W, 2) field or an
+    (N, 2) point list; the samples take its leading shape.
 
     Out-of-bounds samples are masked False and set to 0.
     """
-    src, squeeze = _as_resample_input(src, "source")
-    h, w, c = src.shape
     coords = np.asarray(coords, dtype=np.float64)
     if coords.shape[-1:] != (2,):
         raise GeometryError("coords must end in an axis of 2 (u, v) "
                             f"positions, got shape {coords.shape}")
+    if coords.ndim == 1:
+        # one (u, v) point, sampled as a list of one
+        out, valid = bilinear_sample(src, coords[None])
+        return out[0], valid[0]
+    src, squeeze = _as_resample_input(src, "source")
+    h, w, c = src.shape
     u = coords[..., 0]
     v = coords[..., 1]
-    valid = (u >= 0) & (u <= w - 1) & (v >= 0) & (v <= h - 1)
-    u = np.where(valid, u, 0.0)
-    v = np.where(valid, v, 0.0)
-    u0 = np.floor(u).astype(np.intp)
-    v0 = np.floor(v).astype(np.intp)
-    fu = (u - u0)[..., None]
-    fv = (v - v0)[..., None]
+    valid = u >= 0
+    inside = np.empty_like(valid)
+    valid &= np.less_equal(u, w - 1, out=inside)
+    valid &= np.greater_equal(v, 0, out=inside)
+    valid &= np.less_equal(v, h - 1, out=inside)
+    # an invalid sample reads pixel (0, 0); the positions then become
+    # their fractional parts in place
+    fu = np.where(valid, u, 0.0)
+    fv = np.where(valid, v, 0.0)
+    u0 = np.floor(fu).astype(np.intp)
+    v0 = np.floor(fv).astype(np.intp)
+    fu -= u0
+    fv -= v0
     # one flat index per sample; the +1 neighbors stay on the last column
     # and row
-    flat = src.reshape(h * w, c)
-    i00 = v0 * w + u0
     du = u0 < w - 1
-    dv = (v0 < h - 1) * w
-    out = (flat.take(i00, axis=0) * (1 - fu) * (1 - fv)
-           + flat.take(i00 + du, axis=0) * fu * (1 - fv)
-           + flat.take(i00 + dv, axis=0) * (1 - fu) * fv
-           + flat.take(i00 + du + dv, axis=0) * fu * fv)
-    out = np.where(valid[..., None], out, 0.0).astype(np.float32)
-    if squeeze:
-        out = out[:, :, 0]
+    dv = v0 < h - 1
+    index = v0
+    index *= w
+    index += u0
+    del u0
+    gu = 1 - fu
+    gv = 1 - fv
+    flat = src.reshape(h * w, c)
+    if c == 1:
+        # one channel is gathered and weighted without a channel axis
+        flat = flat[:, 0]
+    else:
+        fu, fv, gu, gv = (a[..., None] for a in (fu, fv, gu, gv))
+    # s00*gu*gv + s01*fu*gv + s10*gu*fv + s11*fu*fv, summed left to right;
+    # one buffer holds the last three gathers, whose indices are in range
+    out = flat.take(index, axis=0)
+    out *= gu
+    out *= gv
+    s = flat.take(index + du, axis=0)
+    s *= fu
+    s *= gv
+    out += s
+    np.add(index, w, out=index, where=dv)
+    flat.take(index, axis=0, out=s, mode="clip")
+    s *= gu
+    s *= fv
+    out += s
+    index += du
+    flat.take(index, axis=0, out=s, mode="clip")
+    s *= fu
+    s *= fv
+    out = np.add(out, s, out=np.empty(out.shape, np.float32))
+    invalid = np.logical_not(valid, out=inside)
+    np.copyto(out, 0.0, where=invalid if c == 1 else invalid[..., None])
+    if c == 1 and not squeeze:
+        out = out[..., None]
     return out, valid
 
 
@@ -228,16 +307,14 @@ def warp(src_img: np.ndarray, target_depth: np.ndarray, pose: Pose,
          cam: Camera) -> tuple[np.ndarray, np.ndarray]:
     """Warp the source image into the target view using the target depth.
     Both views have the depth's height and width."""
-    coords, proj_valid = project(target_depth, pose, cam)
+    coords, valid = project(target_depth, pose, cam)
     if np.shape(src_img)[:2] != coords.shape[:2]:
         raise GeometryError(f"source image is {np.shape(src_img)[:2]}, not "
                             f"the depth's {coords.shape[:2]}")
     out, sample_valid = bilinear_sample(src_img, coords)
-    valid = proj_valid & sample_valid
-    if out.ndim == 2:
-        out = np.where(valid, out, 0.0).astype(np.float32)
-    else:
-        out = np.where(valid[..., None], out, 0.0).astype(np.float32)
+    valid &= sample_valid
+    invalid = ~valid
+    np.copyto(out, 0.0, where=invalid if out.ndim == 2 else invalid[..., None])
     return out, valid
 
 
@@ -251,6 +328,9 @@ def flip_postprocess(d: np.ndarray, d_flipped: np.ndarray) -> np.ndarray:
     m = np.asarray(d_flipped, dtype=np.float64)[:, ::-1]
     if d.shape != m.shape or d.ndim != 2:
         raise GeometryError("flip_postprocess requires equal-shape 2D maps")
+    for arr in (d, m):
+        _check_map(arr, GeometryError,
+                   "flip_postprocess requires non-empty, finite maps")
     h, w = d.shape
     ramp = np.linspace(0.0, 1.0, w)[None, :]
     l_mask = 1.0 - np.clip(20.0 * (ramp - 0.05), 0.0, 1.0)

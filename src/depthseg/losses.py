@@ -16,10 +16,14 @@ inputs.
 
 Cost model. An SSIM box sum is O(HW) direct adds: a zero-padded 3-tap sum
 down the rows, then along the columns, each added in place, and the window
-pixel counts come in closed form. Cross-entropy with integer labels reads
-and writes only each pixel's labelled probability, one flat gather of H*W
-entries, not an (H, W, K) one-hot map; its sum-to-one check adds the K
-(H, W) class slices in turn.
+pixel counts come in closed form. The SSIM terms form ``mu_a**2``,
+``mu_b**2`` and ``mu_a*mu_b`` once each and share them, square and multiply
+the images into one product buffer, and turn the moments into variances and
+the covariance in place. The gradient forms ``d1*d2`` once and writes each
+partial derivative over a term it no longer reads. Cross-entropy with
+integer labels reads and writes only each pixel's labelled probability, one
+flat gather of H*W entries, not an (H, W, K) one-hot map; its sum-to-one
+check adds the K (H, W) class slices in turn.
 """
 
 from __future__ import annotations
@@ -107,18 +111,24 @@ def _valid_mask(mask, shape: tuple) -> np.ndarray:
     return mask
 
 
+def _box_pass(x: np.ndarray) -> np.ndarray:
+    """The SSIM window's taps along axis 0, summed into a new array: each
+    position's own value, then the taps 1, 2, ... steps before and after
+    it. The first sum also makes the copy."""
+    out = np.empty_like(x)
+    np.add(x[1:], x[:-1], out=out[1:])
+    out[0] = x[0]
+    out[:-1] += x[1:]
+    for d in range(2, SSIM_WINDOW // 2 + 1):
+        out[d:] += x[:-d]
+        out[:-d] += x[d:]
+    return out
+
+
 def _box_sum(x: np.ndarray) -> np.ndarray:
     """Zero-padded box sum over the SSIM window (self-adjoint): the window's
     taps added down the rows, then along the columns."""
-    rows = x.copy()
-    for d in range(1, SSIM_WINDOW // 2 + 1):
-        rows[d:] += x[:-d]
-        rows[:-d] += x[d:]
-    out = rows.copy()
-    for d in range(1, SSIM_WINDOW // 2 + 1):
-        out[:, d:] += rows[:, :-d]
-        out[:, :-d] += rows[:, d:]
-    return out
+    return _box_pass(_box_pass(x).swapaxes(0, 1)).swapaxes(0, 1)
 
 
 def _window_counts(n: int) -> np.ndarray:
@@ -130,29 +140,54 @@ def _window_counts(n: int) -> np.ndarray:
 
 
 def _ssim_terms(a, b):
+    """The window pixel counts, the means and SSIM's numerator and
+    denominator factors: SSIM = (n1 * n2) / (d1 * d2)."""
     # pixels inside the image under each window, (H, W, 1)
     h, w, _ = a.shape
-    count = (_window_counts(h)[:, None] * _window_counts(w))[:, :, None]
-    mu_a = _box_sum(a) / count
-    mu_b = _box_sum(b) / count
-    e_aa = _box_sum(a * a) / count
-    e_bb = _box_sum(b * b) / count
-    e_ab = _box_sum(a * b) / count
-    var_a = e_aa - mu_a ** 2
-    var_b = e_bb - mu_b ** 2
-    cov = e_ab - mu_a * mu_b
-    n1 = 2 * mu_a * mu_b + SSIM_C1
-    n2 = 2 * cov + SSIM_C2
-    d1 = mu_a ** 2 + mu_b ** 2 + SSIM_C1
-    d2 = var_a + var_b + SSIM_C2
-    ssim = (n1 * n2) / (d1 * d2)
-    return count, mu_a, mu_b, n1, n2, d1, d2, ssim
+    count = (_window_counts(h)[:, None]
+             * _window_counts(w)).astype(np.float64)[:, :, None]
+
+    def window_mean(x):
+        mean = _box_sum(x)
+        mean /= count
+        return mean
+
+    mu_a = window_mean(a)
+    mu_b = window_mean(b)
+    # the second moments, one product buffer for all three
+    prod = np.multiply(a, a)
+    var_a = window_mean(prod)
+    var_b = window_mean(np.multiply(b, b, out=prod))
+    cov = window_mean(np.multiply(a, b, out=prod))
+    del prod
+    # 2 * mu_a * mu_b below is 2 * (mu_a * mu_b): doubling is exact, so
+    # it does not matter which product it follows
+    n1 = mu_a * mu_b
+    d1 = np.square(mu_a)
+    mu_b2 = np.square(mu_b)
+    var_a -= d1
+    var_b -= mu_b2
+    cov -= n1
+    n1 *= 2
+    n1 += SSIM_C1
+    n2 = cov
+    n2 *= 2
+    n2 += SSIM_C2
+    d1 += mu_b2
+    d1 += SSIM_C1
+    del mu_b2
+    d2 = var_a
+    d2 += var_b
+    d2 += SSIM_C2
+    return count, mu_a, mu_b, n1, n2, d1, d2
 
 
 def ssim_map(a, b) -> np.ndarray:
     """Per-pixel structural similarity, averaged over channels."""
     a, b = _pair(a, b)
-    *_, ssim = _ssim_terms(a, b)
+    *_, n1, n2, d1, d2 = _ssim_terms(a, b)
+    ssim = n1 * n2
+    ssim /= d1 * d2
     return ssim.mean(axis=2)
 
 
@@ -173,28 +208,62 @@ def photometric_loss_grad(img_t, img_st, mask=None,
     mask = _valid_mask(mask, a.shape[:2])
     n_valid = int(mask.sum())
     channels = a.shape[2]
-    # upstream gradient into the per-pixel, per-channel SSIM values
-    g_pix = mask.astype(np.float64) / n_valid
+    # upstream gradient into the per-pixel, per-channel SSIM values,
+    # (H, W, 1) for every channel
+    g_pix = mask.astype(np.float64)
+    g_pix /= n_valid
     g_ssim = (-w.gamma / 2.0 / channels) * g_pix[:, :, None]
-    g_ssim = np.broadcast_to(g_ssim, a.shape).copy()
-    count, mu_a, mu_b, n1, n2, d1, d2, _ = _ssim_terms(a, b)
-    # recomputed, not reused from _ssim_terms: reuse is bitwise equal but
-    # raised loss_suite's peak RSS by about 6 MB through allocator layout
-    ssim = (n1 * n2) / (d1 * d2)
-    g_n1 = g_ssim * n2 / (d1 * d2)
-    g_n2 = g_ssim * n1 / (d1 * d2)
-    g_d1 = -g_ssim * ssim / d1
-    g_d2 = -g_ssim * ssim / d2
-    g_cov = 2.0 * g_n2
+    count, mu_a, mu_b, n1, n2, d1, d2 = _ssim_terms(a, b)
+    # the chain rule through ssim = (n1 * n2) / (d1 * d2), each gradient
+    # in place of a term that is not read again
+    den = d1 * d2
+    ssim = n1 * n2
+    ssim /= den
+    g_n1 = np.multiply(g_ssim, n2, out=n2)
+    g_n1 /= den
+    g_n2 = np.multiply(g_ssim, n1, out=n1)
+    g_n2 /= den
+    del den
+    np.negative(g_ssim, out=g_ssim)
+    ssim *= g_ssim
+    g_d1 = np.divide(ssim, d1, out=d1)
+    g_d2 = np.divide(ssim, d2, out=d2)
+    del ssim
+    # n2 = 2 cov + C2, d2 = var_a + var_b + C2, var_b = E[b^2] - mu_b^2
+    g_cov = g_n2
+    g_cov *= 2.0
     g_var_b = g_d2
-    g_mu_b = (g_n1 * 2.0 * mu_a + g_d1 * 2.0 * mu_b
-              - g_cov * mu_a - g_var_b * 2.0 * mu_b)
-    g_e_bb = g_var_b
-    g_e_ab = g_cov
-    grad = (_box_sum(g_mu_b / count)
-            + _box_sum(g_e_bb / count) * 2.0 * b
-            + _box_sum(g_e_ab / count) * a)
-    grad += ((1.0 - w.gamma) / channels) * np.sign(b - a) * g_pix[:, :, None]
+    # g_mu_b = g_n1*2*mu_a + g_d1*2*mu_b - g_cov*mu_a - g_var_b*2*mu_b
+    g_mu_b = g_n1
+    g_mu_b *= 2.0
+    g_mu_b *= mu_a
+    g_d1 *= 2.0
+    g_d1 *= mu_b
+    g_mu_b += g_d1
+    g_mu_b -= np.multiply(g_cov, mu_a, out=mu_a)
+    g_d1 = np.multiply(g_var_b, 2.0, out=g_d1)
+    g_d1 *= mu_b
+    g_mu_b -= g_d1
+    del mu_a, mu_b, g_d1
+    # back through the window means: E[b^2] and E[ab] pick up their
+    # per-pixel products' derivatives 2b and a
+    g_mu_b /= count
+    grad = _box_sum(g_mu_b)
+    del g_mu_b
+    g_var_b /= count
+    term = _box_sum(g_var_b)
+    term *= 2.0
+    term *= b
+    grad += term
+    g_cov /= count
+    term = _box_sum(g_cov)
+    term *= a
+    grad += term
+    l1 = np.subtract(b, a, out=term)
+    np.sign(l1, out=l1)
+    l1 *= (1.0 - w.gamma) / channels
+    l1 *= g_pix[:, :, None]
+    grad += l1
     return grad
 
 

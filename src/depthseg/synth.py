@@ -433,10 +433,15 @@ def corrupt(gt_depth: np.ndarray, gt_seg: np.ndarray,
         classes = np.unique(seg)
         flip = rng.random(seg.shape) < cspec.seg_flip_rate
         if len(classes) > 1:
-            # pick a uniformly random different class for each flipped pixel
-            index = np.searchsorted(classes, seg)
+            # pick a uniformly random different class for each flipped
+            # pixel. The offsets are drawn for every pixel, which keeps the
+            # random stream, but only the flipped pixels are looked up
             offset = rng.integers(1, len(classes), size=seg.shape)
-            seg = np.where(flip, classes[(index + offset) % len(classes)], seg)
+            at = np.flatnonzero(flip)
+            flat = seg.reshape(-1)
+            index = np.searchsorted(classes, flat[at])
+            index += offset.reshape(-1)[at]
+            flat[at] = classes[index % len(classes)]
     return depth, seg
 
 

@@ -147,6 +147,26 @@ def test_warp_source_of_another_size_exit_code_2(tmp_path, capsys):
     assert not out.exists() and not out_valid.exists()
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_warp_nonfinite_source_exit_code_2(tmp_path, capsys, bad):
+    src = np.ones((8, 8), np.float32)
+    src[2, 5] = bad
+    tensorio.save_tensor(Tensor2D(src), tmp_path / "src.stn")
+    tensorio.save_tensor(Tensor2D(np.full((8, 8), 3.0, np.float32)),
+                         tmp_path / "depth.stn")
+    cam_file = tmp_path / "cam.txt"
+    cam_file.write_text(CAMERA_TXT)
+    out, out_valid = tmp_path / "warped.stn", tmp_path / "valid.stn"
+    assert run(["warp", "--src", str(tmp_path / "src.stn"),
+                "--depth", str(tmp_path / "depth.stn"),
+                "--camera", str(cam_file),
+                "--out", str(out), "--out-valid", str(out_valid)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "finite" in captured.err
+    assert not out.exists() and not out_valid.exists()
+
+
 def refine_seg_inputs(tmp_path):
     """Random 16x16 refine-seg inputs written to tmp_path: the command line
     without --th and --out, and the arrays."""
@@ -365,6 +385,24 @@ def test_pp_command(tmp_path):
                 "--out", str(out)]) == 0
     blended = tensorio.load_tensor(out).data[:, :, 0]
     assert blended[0, 50] == pytest.approx(3.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, -np.inf])
+@pytest.mark.parametrize("which", ["d", "m"])
+def test_pp_nonfinite_prediction_exit_code_2(tmp_path, capsys, bad, which):
+    maps = {"d": np.full((4, 100), 2.0, np.float32),
+            "m": np.full((4, 100), 4.0, np.float32)}
+    maps[which][1, 7] = bad
+    for name, arr in maps.items():
+        tensorio.save_tensor(Tensor2D(arr), tmp_path / f"{name}.stn")
+    out = tmp_path / "pp.stn"
+    assert run(["pp", "--pred", str(tmp_path / "d.stn"),
+                "--pred-flipped", str(tmp_path / "m.stn"),
+                "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "finite" in captured.err
+    assert not out.exists()
 
 
 def test_arch_command(capsys):

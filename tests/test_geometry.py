@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -377,3 +379,144 @@ def test_resamplers_reject_empty_or_misshapen_sources(img):
 def test_bilinear_sample_rejects_coords_without_a_uv_axis(coords_shape):
     with pytest.raises(GeometryError, match="coords"):
         bilinear_sample(np.ones((3, 4)), np.zeros(coords_shape))
+
+
+def rowwise_project(depth, pose, cam):
+    """project with every rotation term: each pose row as the full sum
+    r[i, 0]*x + r[i, 1]*y + r[i, 2]*depth + t[i], zero and unit
+    coefficients included."""
+    h, w = depth.shape
+    x = ((np.arange(w, dtype=np.float64) - cam.cx) / cam.fx) * depth
+    y = ((np.arange(h, dtype=np.float64) - cam.cy) / cam.fy)[:, None] * depth
+    r, t = pose.rotation, pose.translation
+
+    def source(i):
+        return r[i, 0] * x + r[i, 1] * y + r[i, 2] * depth + t[i]
+
+    z = source(2)
+    valid = z > 1e-9
+    z_safe = np.where(valid, z, 1.0)
+    u = cam.fx * source(0) / z_safe + cam.cx
+    v = cam.fy * source(1) / z_safe + cam.cy
+    valid &= (u >= 0) & (u <= w - 1) & (v >= 0) & (v <= h - 1)
+    return (np.stack([np.where(valid, u, 0.0), np.where(valid, v, 0.0)],
+                     axis=-1), valid)
+
+
+def rotation_z(degrees):
+    c, s = np.cos(np.radians(degrees)), np.sin(np.radians(degrees))
+    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+
+
+# poses with exact 0 and +-1 coefficients, which project skips or does not
+# multiply by
+ROWWISE_POSES = {
+    "rz90": Pose(np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0],
+                           [0.0, 0.0, 1.0]]), np.array([0.1, 0.0, 0.0])),
+    "rz-90": Pose(np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0],
+                            [0.0, 0.0, 1.0]]), np.zeros(3)),
+    "rz30": Pose(rotation_z(30.0), np.array([0.0, -0.2, 0.0])),
+    "rz30-forward": Pose(rotation_z(30.0), np.array([0.0, 0.0, 0.3])),
+    "rx180": Pose(np.diag([1.0, -1.0, -1.0]), np.array([0.0, 0.0, 60.0])),
+    "stereo": Pose.stereo_baseline(0.54),
+    "translation": Pose(np.eye(3), np.array([0.1, 0.0, 0.3])),
+}
+
+
+@pytest.mark.parametrize("pose", list(ROWWISE_POSES), ids=str)
+@pytest.mark.parametrize("shape", [(1, 9), (40, 40), (48, 160)])
+def test_project_matches_rowwise_sum_bitwise(pose, shape):
+    rng = np.random.default_rng(15)
+    pose = ROWWISE_POSES[pose]
+    h, w = shape
+    cam = Camera(40.0, 40.0, (w - 1) / 2, (h - 1) / 2)
+    depth = rng.uniform(0.5, 40.0, shape)
+    coords, valid = project(depth, pose, cam)
+    assert_bitwise((coords, valid), rowwise_project(depth, pose, cam))
+    # u and v are each one contiguous plane
+    assert coords[..., 0].flags.c_contiguous
+    assert coords[..., 1].flags.c_contiguous
+    if shape != (1, 9):
+        assert valid.any()
+
+
+@pytest.mark.parametrize("channels", [None, 3])
+def test_bilinear_sample_takes_point_lists(channels):
+    rng = np.random.default_rng(16)
+    h, w = 6, 9
+    src = rng.random((h, w) if channels is None else (h, w, channels))
+    points = np.array([[0.0, 0.0], [8.0, 5.0], [2.25, 3.5], [7.9, 0.1],
+                       [4.0, 2.0], [9.5, 1.0], [1.0, -0.5]])
+    out, valid = bilinear_sample(src, points)
+    assert out.shape == (len(points),) + src.shape[2:]
+    assert list(valid) == [True] * 5 + [False] * 2
+    for (u, v), got, ok in zip(points, out, valid):
+        if not ok:
+            assert np.all(got == 0)
+            continue
+        u0, v0 = int(np.floor(u)), int(np.floor(v))
+        u1, v1 = min(u0 + 1, w - 1), min(v0 + 1, h - 1)
+        fu, fv = u - u0, v - v0
+        want = (src[v0, u0] * (1 - fu) * (1 - fv) + src[v0, u1] * fu * (1 - fv)
+                + src[v1, u0] * (1 - fu) * fv + src[v1, u1] * fu * fv)
+        assert np.array_equal(got, np.float32(want))
+    # a field and single points give the same samples as the list
+    field, _ = bilinear_sample(src, points[None])
+    assert np.array_equal(field[0], out)
+    for point, got, ok in zip(points, out, valid):
+        single, single_valid = bilinear_sample(src, point)
+        assert np.shape(single) == src.shape[2:] and single_valid == ok
+        assert np.array_equal(single, got)
+
+
+NONFINITE = [np.nan, np.inf, -np.inf]
+
+
+@pytest.mark.parametrize("bad", NONFINITE)
+@pytest.mark.parametrize("channels", [None, 3])
+def test_resamplers_reject_nonfinite_images(bad, channels):
+    img = np.ones((4, 6) if channels is None else (4, 6, channels))
+    img[1, 2] = bad
+    with pytest.raises(GeometryError, match="finite"):
+        bilinear_sample(img, np.zeros((2, 2, 2)))
+    with pytest.raises(GeometryError, match="finite"):
+        geometry.upsample_bilinear(img, (8, 12))
+    with pytest.raises(GeometryError, match="finite"):
+        geometry.downsample2x_area(img)
+
+
+@pytest.mark.parametrize("bad", NONFINITE)
+def test_warp_rejects_nonfinite_source(bad):
+    src = np.ones((8, 8), np.float32)
+    src[3, 4] = bad
+    with pytest.raises(GeometryError, match="finite"):
+        warp(src, np.full((8, 8), 3.0), Pose.identity(),
+             Camera(10, 10, 3.5, 3.5))
+
+
+@pytest.mark.parametrize("bad", NONFINITE)
+@pytest.mark.parametrize("which", [0, 1])
+def test_flip_postprocess_rejects_nonfinite_maps(bad, which):
+    maps = [np.full((4, 20), 2.0), np.full((4, 20), 3.0)]
+    maps[which][2, 5] = bad
+    with pytest.raises(GeometryError, match="finite"):
+        flip_postprocess(*maps)
+
+
+def test_warp_peak_memory():
+    # a 192x640 stereo warp of a float32 image: one float64 copy of the
+    # source, two coordinate planes and the sampler's weights and gathers.
+    # The full-sum project with (H, W, 1) weights peaked at 14.4 H*W*8
+    # bytes; planar coordinates and in-place weights at 11.6
+    rng = np.random.default_rng(17)
+    h, w = 192, 640
+    src = rng.random((h, w)).astype(np.float32)
+    depth = rng.uniform(3.0, 40.0, (h, w))
+    cam = Camera(0.58 * w, 1.92 * h, (w - 1) / 2, (h - 1) / 2)
+    tracemalloc.start()
+    try:
+        warp(src, depth, Pose.stereo_baseline(0.54), cam)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * h * w * 8

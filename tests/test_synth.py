@@ -182,6 +182,29 @@ def test_corrupt_flip_rate_and_determinism():
     assert set(np.unique(flipped1)) <= set(np.unique(seg))
 
 
+def full_map_flip(seg, rate, seed):
+    """The label flip over the whole map: every pixel's class looked up and
+    offset, then the flipped ones kept."""
+    rng = np.random.default_rng(seed)
+    classes = np.unique(seg)
+    flip = rng.random(seg.shape) < rate
+    index = np.searchsorted(classes, seg)
+    offset = rng.integers(1, len(classes), size=seg.shape)
+    return np.where(flip, classes[(index + offset) % len(classes)], seg)
+
+
+@pytest.mark.parametrize("rate", [0.1, 0.5, 1.0])
+@pytest.mark.parametrize("shape", [(64, 64), (1, 9), (33, 7)])
+def test_corrupt_flip_matches_full_map_flip(rate, shape):
+    rng = np.random.default_rng(1)
+    # sparse, negative and unsorted class ids
+    seg = rng.choice(np.array([7, -2, 40, 3], np.int32), size=shape)
+    _, got = corrupt(np.full(shape, 5.0), seg,
+                     CorruptionSpec(seg_flip_rate=rate, seed=4))
+    want = full_map_flip(seg, rate, 4)
+    assert got.dtype == np.int32 and np.array_equal(got, want)
+
+
 def test_parse_scene_config(tmp_path):
     path = tmp_path / "scene.cfg"
     path.write_text(
