@@ -16,9 +16,15 @@ contiguous planes. ``bilinear_sample`` gathers the four neighbors of each
 sample through one flat index into the source. It reads those planes
 without a stride, weights one channel without a channel axis, and sums the
 four weighted gathers in place, in the order of the formula, through one
-scratch buffer. ``upsample_bilinear`` is separable: it gathers whole rows,
-then columns, and never builds a coordinate field. Each pixel still gets
-the same arithmetic as the general sampler.
+scratch buffer. Its positions lose their float floors in place, and only
+then are the floors cast to indices. ``upsample_bilinear`` to the input's
+own shape is a float32 cast, since every weight is exactly 1 or 0.
+Otherwise it is row-factored: it applies the column weights at the input's
+rows, then gathers whole output rows of those products, weights them by
+row and sums the four terms in place. It never builds a coordinate field,
+and each pixel still gets the general sampler's arithmetic, (s*gu)*gv
+summed in the formula's order, since a gather moves values and does no
+arithmetic. ``disparity_to_depth`` converts in one buffer.
 
 The module also holds private helpers the other modules share: the
 8-neighborhood offsets, as flat steps into a padded array for the
@@ -103,7 +109,10 @@ def disparity_to_depth(sigma: np.ndarray, params: DepthParams) -> np.ndarray:
     # a NaN fails both comparisons, so it is rejected too
     if sigma.size and not (0.0 <= sigma.min() and sigma.max() <= 1.0):
         raise GeometryError("disparity values must lie in [0, 1]")
-    return 1.0 / (params.c1 * sigma + params.c2)
+    # c1*sigma + c2, then its reciprocal, in one buffer
+    depth = np.multiply(params.c1, sigma, out=np.empty_like(sigma))
+    depth += params.c2
+    return np.divide(1.0, depth, out=depth)
 
 
 # the 8-neighborhood in raster order; the center is excluded (it is never
@@ -254,13 +263,16 @@ def bilinear_sample(src: np.ndarray,
     valid &= np.greater_equal(v, 0, out=inside)
     valid &= np.less_equal(v, h - 1, out=inside)
     # an invalid sample reads pixel (0, 0); the positions then become
-    # their fractional parts in place
+    # their fractional parts in place, less their float floors (the same
+    # as less the integer indices, which convert exactly)
     fu = np.where(valid, u, 0.0)
     fv = np.where(valid, v, 0.0)
-    u0 = np.floor(fu).astype(np.intp)
-    v0 = np.floor(fv).astype(np.intp)
+    u0 = np.floor(fu)
+    v0 = np.floor(fv)
     fu -= u0
     fv -= v0
+    u0 = u0.astype(np.intp)
+    v0 = v0.astype(np.intp)
     # one flat index per sample; the +1 neighbors stay on the last column
     # and row
     du = u0 < w - 1
@@ -278,7 +290,9 @@ def bilinear_sample(src: np.ndarray,
     else:
         fu, fv, gu, gv = (a[..., None] for a in (fu, fv, gu, gv))
     # s00*gu*gv + s01*fu*gv + s10*gu*fv + s11*fu*fv, summed left to right;
-    # one buffer holds the last three gathers, whose indices are in range
+    # one buffer holds the last three gathers, whose indices are in range.
+    # The products keep that order, but the float32 outputs cannot see it:
+    # no test fails when a product's two weights are swapped
     out = flat.take(index, axis=0)
     out *= gu
     out *= gv
@@ -361,6 +375,12 @@ def upsample_bilinear(img: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
                             ) from None
     if h_out < 1 or w_out < 1:
         raise GeometryError(f"output shape must be positive, got {shape!r}")
+    if (h_out, w_out) == (h_in, w_in):
+        # every weight is exactly 1 or 0, so the values are the input's.
+        # Only a -0.0 can differ: it stays -0.0, where the formula adds a
+        # neighbor's +0.0 product to it
+        out = img.astype(np.float32)
+        return out[:, :, 0] if squeeze else out
     v = (np.linspace(0, h_in - 1, h_out) if h_out > 1 else np.zeros(1))
     u = (np.linspace(0, w_in - 1, w_out) if w_out > 1 else np.zeros(1))
     u0 = np.floor(u).astype(np.intp)
@@ -369,10 +389,27 @@ def upsample_bilinear(img: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     v1 = np.minimum(v0 + 1, h_in - 1)
     fu = (u - u0)[None, :, None]
     fv = (v - v0)[:, None, None]
-    # the general sampler's formula, with one gather per axis
-    top = img[v0]
-    bottom = img[v1]
-    out = (top[:, u0] * (1 - fu) * (1 - fv) + top[:, u1] * fu * (1 - fv)
-           + bottom[:, u0] * (1 - fu) * fv + bottom[:, u1] * fu * fv)
-    out = out.astype(np.float32)
+    gv = 1 - fv
+    # the general sampler's formula s00*gu*gv + s01*fu*gv + s10*gu*fv +
+    # s11*fu*fv: the column weights applied at the input's rows, then
+    # whole rows gathered (which moves values and does no arithmetic),
+    # weighted and summed left to right. The indices are in range, so clip
+    # mode changes none and lets take write to its out without a buffer
+    left = img[:, u0]
+    left *= 1 - fu
+    right = img[:, u1]
+    right *= fu
+    acc = left.take(v0, axis=0)
+    acc *= gv
+    term = right.take(v0, axis=0)
+    term *= gv
+    acc += term
+    left.take(v1, axis=0, out=term, mode="clip")
+    del left
+    term *= fv
+    acc += term
+    right.take(v1, axis=0, out=term, mode="clip")
+    del right
+    term *= fv
+    out = np.add(acc, term, out=np.empty(acc.shape, np.float32))
     return out[:, :, 0] if squeeze else out

@@ -16,14 +16,20 @@ inputs.
 
 Cost model. An SSIM box sum is O(HW) direct adds: a zero-padded 3-tap sum
 down the rows, then along the columns, each added in place, and the window
-pixel counts come in closed form. The SSIM terms form ``mu_a**2``,
-``mu_b**2`` and ``mu_a*mu_b`` once each and share them, square and multiply
-the images into one product buffer, and turn the moments into variances and
-the covariance in place. The gradient forms ``d1*d2`` once and writes each
-partial derivative over a term it no longer reads. Cross-entropy with
-integer labels reads and writes only each pixel's labelled probability, one
-flat gather of H*W entries, not an (H, W, K) one-hot map; its sum-to-one
-check adds the K (H, W) class slices in turn.
+pixel counts come in closed form. The column pass shifts the row sums as
+one flat (H*W, C) array, so each tap is a contiguous pass, and then sums
+the first and last columns again, whose taps wrapped onto a neighboring
+row. The SSIM terms form ``mu_a**2``, ``mu_b**2`` and ``mu_a*mu_b`` once
+each and share them, square and multiply the images into one product
+buffer, and turn the moments into variances and the covariance in place.
+The gradient forms ``d1*d2`` once and writes each partial derivative over a
+term it no longer reads. The photometric loss builds its per-pixel terms in
+place and averages the valid pixels through ``compress``. The multi-scale
+loss converts the source image to float64 once for its four warps and
+holds no scale's depth or warp into the next. Cross-entropy with integer
+labels reads and writes only each pixel's labelled probability, one flat
+gather of H*W entries, not an (H, W, K) one-hot map; its sum-to-one check
+is one ``einsum`` over the class axis.
 """
 
 from __future__ import annotations
@@ -112,10 +118,10 @@ def _valid_mask(mask, shape: tuple) -> np.ndarray:
 
 
 def _box_pass(x: np.ndarray) -> np.ndarray:
-    """The SSIM window's taps along axis 0, summed into a new array: each
-    position's own value, then the taps 1, 2, ... steps before and after
-    it. The first sum also makes the copy."""
-    out = np.empty_like(x)
+    """The SSIM window's taps along axis 0, summed into a new C-contiguous
+    array: each position's own value, then the taps 1, 2, ... steps before
+    and after it. The first sum also makes the copy."""
+    out = np.empty_like(x, order="C")
     np.add(x[1:], x[:-1], out=out[1:])
     out[0] = x[0]
     out[:-1] += x[1:]
@@ -126,9 +132,28 @@ def _box_pass(x: np.ndarray) -> np.ndarray:
 
 
 def _box_sum(x: np.ndarray) -> np.ndarray:
-    """Zero-padded box sum over the SSIM window (self-adjoint): the window's
-    taps added down the rows, then along the columns."""
-    return _box_pass(_box_pass(x).swapaxes(0, 1)).swapaxes(0, 1)
+    """Zero-padded box sum over the SSIM window of an (H, W, C) array
+    (self-adjoint): the window's taps added down the rows, then along the
+    columns.
+
+    The column pass runs over the row sums as one flat (H*W, C) array, so
+    a one-pixel shift is a contiguous one. There, the first and last
+    ``SSIM_WINDOW // 2`` columns pick up taps that wrapped onto a
+    neighboring row; they are summed again from the row sums, with the
+    taps in ``_box_pass``'s order."""
+    h, w, c = x.shape
+    rows = _box_pass(x)
+    out = _box_pass(rows.reshape(h * w, c)).reshape(h, w, c)
+    r = SSIM_WINDOW // 2
+    for j in {*range(min(r, w)), *range(max(w - r, 0), w)}:
+        col = out[:, j]
+        np.copyto(col, rows[:, j])
+        for d in range(1, r + 1):
+            if j >= d:
+                col += rows[:, j - d]
+            if j + d < w:
+                col += rows[:, j + d]
+    return out
 
 
 def _window_counts(n: int) -> np.ndarray:
@@ -196,9 +221,16 @@ def photometric_loss(img_t, img_st, mask=None,
     """gamma/2 * (1 - SSIM) + (1 - gamma) * L1, averaged over valid pixels."""
     a, b = _pair(img_t, img_st)
     mask = _valid_mask(mask, a.shape[:2])
-    per_pixel = (w.gamma / 2.0 * (1.0 - ssim_map(a, b))
-                 + (1.0 - w.gamma) * np.abs(a - b).mean(axis=2))
-    return float(per_pixel[mask].mean())
+    # each term built in place; compress selects the pixels of mask, in
+    # raster order
+    per_pixel = ssim_map(a, b)
+    np.subtract(1.0, per_pixel, out=per_pixel)
+    per_pixel *= w.gamma / 2.0
+    l1 = np.subtract(a, b)
+    l1 = np.abs(l1, out=l1).mean(axis=2)
+    l1 *= 1.0 - w.gamma
+    per_pixel += l1
+    return float(per_pixel.ravel().compress(mask.ravel()).mean())
 
 
 def photometric_loss_grad(img_t, img_st, mask=None,
@@ -349,12 +381,9 @@ def _prepare_cross_entropy(target, probs):
         raise LossError("probabilities must cover at least one pixel")
     if k == 0:
         raise LossError("probabilities must have at least one class")
-    # one add per class over (H, W) slices: a reduction along the short
-    # class axis costs more; max propagates NaN, so a NaN probability fails
-    # the test
-    dev = probs[:, :, 0].copy()
-    for j in range(1, k):
-        dev += probs[:, :, j]
+    # one einsum pass over the class axis; max propagates NaN, so a NaN
+    # probability fails the test
+    dev = np.einsum("ijk->ij", probs)
     dev -= 1.0
     if not np.abs(dev, out=dev).max() <= 1e-5:
         raise LossError("probability vectors must sum to 1 within 1e-5")
@@ -442,6 +471,8 @@ def multiscale_photometric(disparities, img_t, img_s, pose, cam,
     if h < 8 or w_img < 8:
         raise LossError("images must be at least 8x8, so that the 1/8 "
                         f"scale holds a pixel; got {h}x{w_img}")
+    # converted once for the four warps; each warp still checks it
+    img_s = np.asarray(img_s, dtype=np.float64)
     losses = []
     for scale, disp in enumerate(disparities):
         disp = np.asarray(disp, dtype=np.float64)
@@ -449,10 +480,12 @@ def multiscale_photometric(disparities, img_t, img_s, pose, cam,
         if disp.shape != expected:
             raise LossError(f"scale {scale}: expected shape {expected}, "
                             f"got {disp.shape}")
-        full = geometry.upsample_bilinear(disp, (h, w_img))
-        depth = geometry.disparity_to_depth(full, depth_params)
+        depth = geometry.disparity_to_depth(
+            geometry.upsample_bilinear(disp, (h, w_img)), depth_params)
         warped, valid = geometry.warp(img_s, depth, pose, cam)
+        del depth
         losses.append(photometric_loss(img_t, warped, valid, w))
+        del warped, valid
     return float(np.mean(losses))
 
 

@@ -385,7 +385,11 @@ def intensity_segmenter(levels: int = 64):
         arr = np.asarray(img, dtype=np.float64)
         if arr.ndim == 3:
             arr = arr.mean(axis=2)
-        return np.clip((arr * levels).astype(np.int32), 0, levels - 1)
+        # clipped before the cast, which an out-of-range value (say 1e10)
+        # would overflow; in range, truncating then clipping is the same
+        scaled = arr * levels
+        np.clip(scaled, 0, levels - 1, out=scaled)
+        return scaled.astype(np.int32)
     return segment
 
 

@@ -261,6 +261,29 @@ def test_refine_depth_nonfinite_image_exit_code_2(tmp_path, capsys, image):
     assert not out.exists()
 
 
+def test_refine_depth_with_an_overbright_source(tmp_path, capsys):
+    # a source of 1e10 is finite, so refine-depth runs: every valid warped
+    # pixel lands in the segmenter's top bucket, as one of 1.0 does
+    prefix = write_scene(tmp_path)
+    cam_file = tmp_path / "cam.txt"
+    cam_file.write_text(CAMERA_TXT)
+    shape = tensorio.load_tensor(str(prefix) + "_right.stn").data.shape
+    outs = []
+    for value in (1e10, 1.0):
+        src = tmp_path / f"src{value:g}.stn"
+        tensorio.save_tensor(Tensor2D(np.full(shape, value, np.float32)), src)
+        out = tmp_path / f"fixed{value:g}.stn"
+        assert run(["refine-depth",
+                    "--depth", str(prefix) + "_depth_corrupt.stn",
+                    "--y", str(prefix) + "_seg.stn",
+                    "--target", str(prefix) + "_left.stn",
+                    "--src", str(src), "--camera", str(cam_file),
+                    "--out", str(out)]) == 0
+        outs.append(tensorio.load_tensor(out).data)
+    assert np.array_equal(outs[0], outs[1])
+    assert capsys.readouterr().err == ""
+
+
 def test_loss_command_prints_value(tmp_path, capsys):
     a = np.zeros((8, 8), dtype=np.float32)
     b = np.full((8, 8), 0.5, dtype=np.float32)

@@ -520,3 +520,34 @@ def test_warp_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 12 * h * w * 8
+
+
+@pytest.mark.parametrize("shape", [(1, 7), (6, 1), (5, 7), (5, 7, 3)])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_upsample_bilinear_to_the_same_shape_is_a_fresh_cast(shape, dtype):
+    # every weight is exactly 1 or 0, so the result is the input cast to
+    # float32, in a new array whatever the input's dtype
+    rng = np.random.default_rng(23)
+    img = rng.normal(size=shape).astype(dtype)
+    before = img.copy()
+    got = geometry.upsample_bilinear(img, shape[:2])
+    assert_bitwise([got], [oracle_upsample_bilinear(img, shape[:2])])
+    assert_bitwise([got], [img.astype(np.float32)])
+    assert not np.shares_memory(got, img)
+    got += 1.0
+    assert np.array_equal(img, before)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_disparity_to_depth_matches_expression_bitwise(dtype):
+    rng = np.random.default_rng(24)
+    sigma = rng.random((9, 13)).astype(dtype)
+    sigma[0, :3] = (0.0, 1.0, -0.0)
+    before = sigma.copy()
+    for p in (DepthParams(c1=1 / 0.1 - 1 / 100.0, c2=1 / 100.0),
+              DepthParams(0.1, 100.0), DepthParams(3.0, 1e-3)):
+        got = disparity_to_depth(sigma, p)
+        want = 1.0 / (p.c1 * sigma.astype(np.float64) + p.c2)
+        assert_bitwise([got], [want])
+        assert not np.shares_memory(got, sigma)
+    assert np.array_equal(sigma, before)

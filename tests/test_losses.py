@@ -3,13 +3,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from depthseg import geometry, losses
+from depthseg import geometry, losses, synth
 from depthseg.losses import (SSIM_C1, SSIM_C2, LossError, LossWeights,
                              combine_shared_gradients, cross_entropy,
                              cross_entropy_grad, hint_loss, hint_loss_grad,
                              multiscale_photometric, photometric_loss,
                              photometric_loss_grad, smoothness_loss,
                              smoothness_loss_grad, ssim_map)
+from test_geometry import oracle_upsample_bilinear, oracle_warp
 
 
 def finite_difference(f, x, eps=1e-6):
@@ -567,3 +568,122 @@ def test_ssim_map_and_gradient_peak_memory():
     unit = h * w * 8
     assert traced_peak(ssim_map, a, b) <= 12 * unit
     assert traced_peak(photometric_loss_grad, a, b, mask) <= 14 * unit
+
+
+def assert_same_bits(got, want):
+    """Equal dtype, shape and bytes: a -0.0 does not match a 0.0."""
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("h", [1, 2, 5])
+@pytest.mark.parametrize("w", [1, 2, 3, 4])
+@pytest.mark.parametrize("c", [1, 3])
+def test_box_sum_matches_expression_form_bitwise(h, w, c):
+    # the flat column pass resums the edge columns, whose taps wrapped
+    # onto a neighboring row; exact and signed zeros and negative values
+    # show a tap added in another order or one too many
+    rng = np.random.default_rng(h * 100 + w * 10 + c)
+    x = rng.normal(size=(h, w, c))
+    x.reshape(-1)[::3] = 0.0
+    x.reshape(-1)[1::5] = -0.0
+    assert_same_bits(losses._box_sum(x), expression_box_sum(x))
+
+
+def test_photometric_loss_of_a_warp_matches_expression_form():
+    # a float32 warp and its valid mask, as multiscale_photometric passes
+    # them: the mean is over the same pixels in the same order
+    rng = np.random.default_rng(21)
+    h, w = 24, 80
+    img_t = rng.random((h, w)).astype(np.float32)
+    img_s = rng.random((h, w)).astype(np.float32)
+    cam = geometry.Camera(0.58 * w, 1.92 * h, 0.5 * w - 0.5, 0.5 * h - 0.5)
+    depth = rng.uniform(2.0, 30.0, (h, w))
+    warped, valid = geometry.warp(img_s, depth,
+                                  geometry.Pose.stereo_baseline(0.54), cam)
+    assert warped.dtype == np.float32 and 0 < valid.sum() < valid.size
+    a = img_t.astype(np.float64)[:, :, None]
+    b = warped.astype(np.float64)[:, :, None]
+    for gamma in (0.0, 0.85, 1.0):
+        weights = LossWeights(gamma=gamma)
+        _, want, _ = expression_photometric(a, b, valid, weights)
+        assert photometric_loss(img_t, warped, valid, weights) == want
+
+
+@pytest.mark.parametrize("soft", [False, True])
+@pytest.mark.parametrize("fn", [cross_entropy, cross_entropy_grad])
+def test_cross_entropy_sum_check_tolerance(fn, soft):
+    probs = np.full((4, 5, 3), 1 / 3)
+    target = np.full((4, 5, 3), 1 / 3) if soft else np.zeros((4, 5), int)
+    for off, ok in ((2e-5, False), (-2e-5, False), (5e-6, True),
+                    (-5e-6, True), (np.nan, False)):
+        bad = probs.copy()
+        bad[2, 3, 1] += off
+        if ok:
+            fn(target, bad)
+        else:
+            with pytest.raises(LossError, match="sum to 1"):
+                fn(target, bad)
+
+
+DEPTH_PARAMS = geometry.DepthParams(c1=1 / 0.1 - 1 / 100.0, c2=1 / 100.0)
+
+
+def loss_step_inputs(h, w):
+    """A rendered (h, w) stereo frame with textured objects at fractional
+    disparities, and its true disparity as a sigmoid disparity at 1, 1/2,
+    1/4 and 1/8 resolution: (camera, left, right, pyramid)."""
+    cam = geometry.Camera(0.58 * w, 1.92 * h, 0.5 * w - 0.5, 0.5 * h - 0.5)
+    objects = (
+        synth.ObjectSpec("rect", (h // 4, w // 8, h // 2 + 3, w // 3), 7.3,
+                         1, 11),
+        synth.ObjectSpec("disk", (0.6 * h, 0.7 * w, h / 4), 12.9, 2, 12),
+        synth.ObjectSpec("rect", (h // 2, w // 2, h - 2, w // 2 + 17), 4.1,
+                         3, 13))
+    spec = synth.SceneSpec(h, w, cam, 0.54, 40.0, objects, 0, 14)
+    left, right, depth, _, _ = synth.render(spec)
+    pyramid = [np.clip((1 / depth - DEPTH_PARAMS.c2) / DEPTH_PARAMS.c1,
+                       0.0, 1.0)]
+    for _ in range(3):
+        pyramid.append(geometry.downsample2x_area(pyramid[-1]))
+    return cam, left, right, pyramid
+
+
+def test_multiscale_photometric_matches_expression_form_end_to_end():
+    # the loss step composed from the direct forms of every kernel it
+    # runs: the oracle upsample and warp, the depth conversion as one
+    # expression and the expression photometric loss. A reorder anywhere
+    # on the path changes the float
+    h, w = 48, 160
+    cam, left, right, pyramid = loss_step_inputs(h, w)
+    pose = geometry.Pose.stereo_baseline(0.54)
+    a = left.astype(np.float64)[:, :, None]
+    want = []
+    for disp in pyramid:
+        full = oracle_upsample_bilinear(disp, (h, w)).astype(np.float64)
+        depth = 1.0 / (DEPTH_PARAMS.c1 * full + DEPTH_PARAMS.c2)
+        warped, valid = oracle_warp(right, depth, pose, cam)
+        assert valid.any()
+        b = warped.astype(np.float64)[:, :, None]
+        want.append(expression_photometric(a, b, valid, LossWeights())[1])
+    got = multiscale_photometric(pyramid, left, right, pose, cam,
+                                 DEPTH_PARAMS)
+    assert got == float(np.mean(want))
+
+
+def test_upsample_and_multiscale_photometric_peak_memory():
+    # in units of H*W*8 bytes at 192x640. The parent's upsample from the
+    # 1x, 1/2, 1/4 and 1/8 scales peaked at 5.10, 4.35, 3.66 and 3.37, and
+    # its multiscale_photometric at 15.01. The same-shape cast and the
+    # row-factored upsample peak at 0.50, 3.78, 2.84 and 2.61, and the
+    # loss step, which holds no scale's depth or warp into the next, at
+    # 13.88
+    h, w = 192, 640
+    unit = h * w * 8
+    cam, left, right, pyramid = loss_step_inputs(h, w)
+    for disp, bound in zip(pyramid, (0.6, 3.9, 2.95, 2.7)):
+        assert traced_peak(geometry.upsample_bilinear, disp, (h, w)) \
+            <= bound * unit
+    assert traced_peak(multiscale_photometric, pyramid, left, right,
+                       geometry.Pose.stereo_baseline(0.54), cam,
+                       DEPTH_PARAMS) <= 13.9 * unit

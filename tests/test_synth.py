@@ -97,6 +97,24 @@ def test_intensity_segmenter_separates_surfaces():
     assert not bg_buckets & obj_buckets
 
 
+@pytest.mark.parametrize("value, bucket", [(1e10, 63), (1.0, 63),
+                                           (-1e10, 0), (np.inf, 63)])
+@pytest.mark.parametrize("channels", [None, 3])
+def test_intensity_segmenter_maps_out_of_range_to_the_edge_bucket(
+        value, bucket, channels):
+    # clipped before the cast to int32, so a value that would overflow it
+    # neither warns (warnings are errors here) nor lands in another bucket
+    img = np.full((2, 3) if channels is None else (2, 3, channels), value)
+    got = intensity_segmenter()(img)
+    assert got.dtype == np.int32 and got.shape == (2, 3)
+    assert np.all(got == bucket)
+
+
+def test_intensity_segmenter_buckets_in_range_values_by_truncation():
+    img = np.array([[0.0, 0.5, 0.999, 1 / 64 - 1e-12, 1 / 64, -0.3, 1.7]])
+    assert intensity_segmenter()(img).tolist() == [[0, 32, 63, 0, 1, 0, 63]]
+
+
 def test_corrupt_bleed_grows_foreground():
     spec = make_scene()
     _, _, depth, seg, _ = render(spec)
