@@ -3,8 +3,9 @@
 Each subcommand wraps exactly one library operation; commands communicate
 through STN1 tensor files (plus PGM/PPM for preview images), so pipelines can
 be replayed and every intermediate inspected. Exit codes: 0 success, 1 usage
-error, 2 malformed or missing data. Output files are written atomically, so a
-failing command never leaves a partial artifact behind.
+error, 2 malformed or missing data or a path that cannot be read or written.
+Output files are written atomically, and a command removes the ones it wrote
+when a later one fails, so a failing command never leaves an artifact behind.
 
 Cost model. ``main`` builds the argparse tree once per process, on its first
 call, and every later call reuses it. On a 2-core Xeon host the tree takes
@@ -23,7 +24,9 @@ tree on every call.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import os
 import sys
 
 import numpy as np
@@ -49,41 +52,57 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _load(path) -> tensorio.Tensor2D:
-    try:
-        return tensorio.load_tensor(path)
-    except OSError as e:
-        raise tensorio.TensorError(f"{path}: {e.strerror or e}") from None
-
-
 def _plane(t: tensorio.Tensor2D, dtype=np.float64) -> np.ndarray:
-    """Single-channel tensor as a 2-D array."""
+    """Single-channel tensor as a 2-D array. Float labels are truncated to
+    int32, so each must be finite and in its range."""
     if t.channels != 1:
         raise tensorio.TensorError("expected a single-channel tensor")
-    return t.data[:, :, 0].astype(dtype)
+    plane = t.data[:, :, 0]
+    if (dtype is np.int32 and t.dtype_name == "f32"
+            and not (-2.0 ** 31 <= plane.min() and plane.max() < 2.0 ** 31)):
+        raise tensorio.TensorError("labels must be finite and fit in int32")
+    return plane.astype(dtype)
 
 
-def _save(arr: np.ndarray, dtype_name: str, path) -> None:
-    tensorio.save_tensor(tensorio.Tensor2D(
-        np.asarray(arr).astype(tensorio.DTYPE_NAMES[dtype_name])), path)
+def _save(*outputs) -> None:
+    """Write each (array, dtype name, path) of ``outputs``: an STN1 file of
+    that dtype, or a PGM/PPM preview for the name "pgm". Each file is
+    written atomically, and when one fails, the ones already written are
+    removed, so a failing command leaves no output behind."""
+    written = []
+    try:
+        for arr, dtype_name, path in outputs:
+            if dtype_name == "pgm":
+                tensorio.write_pgm_ppm(
+                    tensorio.to_u8(tensorio.Tensor2D(arr)), path)
+            else:
+                tensorio.save_tensor(tensorio.Tensor2D(np.asarray(arr).astype(
+                    tensorio.DTYPE_NAMES[dtype_name])), path)
+            written.append(path)
+    except BaseException:
+        for path in written:
+            with contextlib.suppress(OSError):
+                os.unlink(path)
+        raise
 
 
 def cmd_synth(args) -> int:
     config = synth.parse_scene_config(args.config)
     img_l, img_r, depth, seg, occ = synth.render(config.scene)
-    _save(img_l, "f32", args.out_prefix + "_left.stn")
-    _save(img_r, "f32", args.out_prefix + "_right.stn")
-    _save(depth, "f32", args.out_prefix + "_depth.stn")
-    _save(seg, "i32", args.out_prefix + "_seg.stn")
-    _save(occ.astype(np.uint8), "u8", args.out_prefix + "_occ.stn")
+    prefix = args.out_prefix
+    outputs = [(img_l, "f32", prefix + "_left.stn"),
+               (img_r, "f32", prefix + "_right.stn"),
+               (depth, "f32", prefix + "_depth.stn"),
+               (seg, "i32", prefix + "_seg.stn"),
+               (occ.astype(np.uint8), "u8", prefix + "_occ.stn")]
     spec = config.corruption
     if spec.bleed_width or spec.seg_flip_rate:
         bad_depth, bad_seg = synth.corrupt(depth, seg, spec)
-        _save(bad_depth, "f32", args.out_prefix + "_depth_corrupt.stn")
-        _save(bad_seg, "i32", args.out_prefix + "_seg_corrupt.stn")
+        outputs += [(bad_depth, "f32", prefix + "_depth_corrupt.stn"),
+                    (bad_seg, "i32", prefix + "_seg_corrupt.stn")]
     if args.preview:
-        tensorio.write_pgm_ppm(tensorio.to_u8(tensorio.Tensor2D(img_l)),
-                               args.out_prefix + "_left.pgm")
+        outputs.append((img_l, "pgm", prefix + "_left.pgm"))
+    _save(*outputs)
     print(f"rendered {config.scene.height}x{config.scene.width} scene with "
           f"{len(config.scene.objects)} objects; "
           f"{int(occ.sum())} occluded pixels")
@@ -91,36 +110,36 @@ def cmd_synth(args) -> int:
 
 
 def cmd_warp(args) -> int:
-    src = tensorio.to_float(_load(args.src)).data
-    depth = _plane(_load(args.depth))
+    src = tensorio.to_float(tensorio.load_tensor(args.src)).data
+    depth = _plane(tensorio.load_tensor(args.depth))
     cam, pose = geometry.load_camera_pose(args.camera)
     warped, valid = geometry.warp(src, depth, pose, cam)
-    _save(warped, "f32", args.out)
-    _save(valid.astype(np.uint8), "u8", args.out_valid)
+    _save((warped, "f32", args.out),
+          (valid.astype(np.uint8), "u8", args.out_valid))
     print(f"warped {valid.size} pixels, {int(valid.sum())} valid")
     return EXIT_OK
 
 
 def cmd_refine_seg(args) -> int:
-    y = _plane(_load(args.y), np.int32)
-    y_hat = _plane(_load(args.yhat), np.int32)
-    depth = _plane(_load(args.depth))
+    y = _plane(tensorio.load_tensor(args.y), np.int32)
+    y_hat = _plane(tensorio.load_tensor(args.yhat), np.int32)
+    depth = _plane(tensorio.load_tensor(args.depth))
     cfg = refine.RefineConfig(depth_threshold=args.th)
     refined = refine.refine_segmentation_with_depth(y, y_hat, depth, cfg)
-    _save(refined, "i32", args.out)
+    _save((refined, "i32", args.out))
     print(f"relabeled {int((refined != y).sum())} pixels")
     return EXIT_OK
 
 
 def cmd_refine_depth(args) -> int:
-    depth = _plane(_load(args.depth))
-    y = _plane(_load(args.y), np.int32)
-    img_t = tensorio.to_float(_load(args.target)).data
-    img_s = tensorio.to_float(_load(args.src)).data
+    depth = _plane(tensorio.load_tensor(args.depth))
+    y = _plane(tensorio.load_tensor(args.y), np.int32)
+    img_t = tensorio.to_float(tensorio.load_tensor(args.target)).data
+    img_s = tensorio.to_float(tensorio.load_tensor(args.src)).data
     cam, pose = geometry.load_camera_pose(args.camera)
     refined = refine.refine_depth_full(depth, y, img_t, img_s, pose, cam,
                                        synth.intensity_segmenter())
-    _save(refined, "f32", args.out)
+    _save((refined, "f32", args.out))
     print(f"adjusted {int((refined != depth).sum())} pixels")
     return EXIT_OK
 
@@ -128,30 +147,30 @@ def cmd_refine_depth(args) -> int:
 def cmd_loss(args) -> int:
     w = losses.LossWeights(gamma=args.gamma)
     if args.kind == "photometric":
-        a = tensorio.to_float(_load(args.a)).data
-        b = tensorio.to_float(_load(args.b)).data
+        a = tensorio.to_float(tensorio.load_tensor(args.a)).data
+        b = tensorio.to_float(tensorio.load_tensor(args.b)).data
         value = losses.photometric_loss(a, b, w=w)
     elif args.kind == "hint":
-        a = _plane(_load(args.a))
-        b = _plane(_load(args.b))
+        a = _plane(tensorio.load_tensor(args.a))
+        b = _plane(tensorio.load_tensor(args.b))
         value = losses.hint_loss(a, b)
     elif args.kind == "smoothness":
-        a = _plane(_load(args.a))
-        b = tensorio.to_float(_load(args.b)).data
+        a = _plane(tensorio.load_tensor(args.a))
+        b = tensorio.to_float(tensorio.load_tensor(args.b)).data
         value = losses.smoothness_loss(a, b)
     else:  # cross-entropy
-        a = _load(args.a)
+        a = tensorio.load_tensor(args.a)
         target = (a.data[:, :, 0].astype(np.int64) if a.dtype_name == "i32"
                   else a.data.astype(np.float64))
-        probs = _load(args.b).data.astype(np.float64)
+        probs = tensorio.load_tensor(args.b).data.astype(np.float64)
         value = losses.cross_entropy(target, probs)
     print(f"{args.kind} {value:.9f}")
     return EXIT_OK
 
 
 def cmd_eval(args) -> int:
-    pred = _plane(_load(args.pred))
-    gt = _plane(_load(args.gt))
+    pred = _plane(tensorio.load_tensor(args.pred))
+    gt = _plane(tensorio.load_tensor(args.gt))
     result = metrics.evaluate_depth(pred, gt, cap=args.cap)
     print(metrics.DepthEvalResult.CSV_HEADER)
     print(result.csv_row())
@@ -159,9 +178,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_pp(args) -> int:
-    d = _plane(_load(args.pred))
-    d_flipped = _plane(_load(args.pred_flipped))
-    _save(geometry.flip_postprocess(d, d_flipped), "f32", args.out)
+    d = _plane(tensorio.load_tensor(args.pred))
+    d_flipped = _plane(tensorio.load_tensor(args.pred_flipped))
+    _save((geometry.flip_postprocess(d, d_flipped), "f32", args.out))
     print(f"blended {d.size} pixels")
     return EXIT_OK
 
@@ -256,8 +275,7 @@ def _shared_parser() -> _Parser:
 
 _DATA_ERRORS = (tensorio.TensorError, geometry.GeometryError,
                 refine.RefineError, losses.LossError, metrics.MetricsError,
-                synth.SynthError, arch.ArchError, FileNotFoundError,
-                IsADirectoryError, PermissionError)
+                synth.SynthError, arch.ArchError, OSError)
 
 
 def main(argv=None) -> int:

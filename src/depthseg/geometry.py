@@ -28,8 +28,11 @@ arithmetic. ``disparity_to_depth`` converts in one buffer.
 
 The module also holds private helpers the other modules share: the
 8-neighborhood offsets, as flat steps into a padded array for the
-refinement wavefronts, and the non-empty, finite (and optionally positive)
-map check of every array entry point.
+refinement wavefronts, and one check per array input rule, each raising
+the caller's error class: the non-empty, finite (and optionally positive)
+map check, the equal-shape check, the image check that also makes an
+(H, W, C) float64 array, and the depth-map check that also makes a 2-D
+float64 map.
 """
 
 from __future__ import annotations
@@ -139,18 +142,36 @@ def _check_map(arr: np.ndarray, error: type[Exception], message: str,
         raise error(message)
 
 
-def _as_resample_input(img, name: str) -> tuple[np.ndarray, bool]:
+def _same_shape(error: type[Exception], *arrays):
+    """Raise ``error`` naming the shapes unless all ``arrays`` have one."""
+    shapes = {np.shape(a) for a in arrays}
+    if len(shapes) != 1:
+        raise error(f"shape mismatch: {sorted(shapes)}")
+
+
+def _as_image(img, error: type[Exception],
+              name: str) -> tuple[np.ndarray, bool]:
     """``img`` as a non-empty, finite float64 (H, W, C) array, and whether
     it was (H, W)."""
     img = np.asarray(img, dtype=np.float64)
     if img.ndim not in (2, 3):
-        raise GeometryError(f"{name} must be (H, W) or (H, W, C), got shape "
-                            f"{img.shape}")
-    _check_map(img, GeometryError,
+        raise error(f"{name} must be (H, W) or (H, W, C), got shape "
+                    f"{img.shape}")
+    _check_map(img, error,
                f"{name} must be non-empty and finite (shape {img.shape})")
     if img.ndim == 2:
         return img[:, :, None], True
     return img, False
+
+
+def _as_depth(depth, error: type[Exception]) -> np.ndarray:
+    """``depth`` as a non-empty, finite and positive float64 (H, W) map."""
+    depth = np.asarray(depth, dtype=np.float64)
+    if depth.ndim != 2:
+        raise error(f"depth must be 2-D (H, W), got shape {depth.shape}")
+    _check_map(depth, error, "depth must be non-empty, finite and positive "
+                             f"everywhere (shape {depth.shape})", low=0.0)
+    return depth
 
 
 def load_camera_pose(path) -> tuple[Camera, Pose]:
@@ -179,11 +200,7 @@ def project(depth: np.ndarray, pose: Pose,
     where the projected depth is non-positive or the sample leaves the
     source frame.
     """
-    depth = np.asarray(depth, dtype=np.float64)
-    if depth.ndim != 2:
-        raise GeometryError("depth must be a 2D map")
-    _check_map(depth, GeometryError,
-               "depth must be finite and positive everywhere", low=0.0)
+    depth = _as_depth(depth, GeometryError)
     h, w = depth.shape
     # target-frame points (x, y, depth): per-column and per-row factors
     # times the depth
@@ -253,7 +270,7 @@ def bilinear_sample(src: np.ndarray,
         # one (u, v) point, sampled as a list of one
         out, valid = bilinear_sample(src, coords[None])
         return out[0], valid[0]
-    src, squeeze = _as_resample_input(src, "source")
+    src, squeeze = _as_image(src, GeometryError, "source")
     h, w, c = src.shape
     u = coords[..., 0]
     v = coords[..., 1]
@@ -339,9 +356,11 @@ def flip_postprocess(d: np.ndarray, d_flipped: np.ndarray) -> np.ndarray:
     was the image interior; elsewhere the two are averaged.
     """
     d = np.asarray(d, dtype=np.float64)
-    m = np.asarray(d_flipped, dtype=np.float64)[:, ::-1]
-    if d.shape != m.shape or d.ndim != 2:
-        raise GeometryError("flip_postprocess requires equal-shape 2D maps")
+    m = np.asarray(d_flipped, dtype=np.float64)
+    _same_shape(GeometryError, d, m)
+    if d.ndim != 2:
+        raise GeometryError("flip_postprocess requires 2-D maps")
+    m = m[:, ::-1]
     for arr in (d, m):
         _check_map(arr, GeometryError,
                    "flip_postprocess requires non-empty, finite maps")
@@ -355,7 +374,7 @@ def flip_postprocess(d: np.ndarray, d_flipped: np.ndarray) -> np.ndarray:
 
 def downsample2x_area(img: np.ndarray) -> np.ndarray:
     """2x area (box) downsampling; H and W must be even."""
-    img, squeeze = _as_resample_input(img, "image")
+    img, squeeze = _as_image(img, GeometryError, "image")
     h, w, c = img.shape
     if h % 2 or w % 2:
         raise GeometryError("downsample2x_area requires even dimensions")
@@ -366,7 +385,7 @@ def downsample2x_area(img: np.ndarray) -> np.ndarray:
 
 def upsample_bilinear(img: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     """Resize to (H, W) with bilinear interpolation, corners aligned."""
-    img, squeeze = _as_resample_input(img, "image")
+    img, squeeze = _as_image(img, GeometryError, "image")
     h_in, w_in, _ = img.shape
     try:
         h_out, w_out = (operator.index(n) for n in shape)

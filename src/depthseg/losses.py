@@ -84,23 +84,11 @@ SSIM_C1 = 0.01 ** 2
 SSIM_C2 = 0.03 ** 2
 
 
-def _as_hwc(img) -> np.ndarray:
-    """The image as a non-empty, finite float64 (H, W, C) array."""
-    arr = np.asarray(img, dtype=np.float64)
-    if arr.ndim == 2:
-        arr = arr[:, :, None]
-    if arr.ndim != 3:
-        raise LossError("images must be (H, W) or (H, W, C)")
-    geometry._check_map(arr, LossError, "images must be non-empty and finite")
-    return arr
-
-
 def _pair(a, b) -> tuple[np.ndarray, np.ndarray]:
     """Both images as float64 (H, W, C) arrays of one shape."""
-    a = _as_hwc(a)
-    b = _as_hwc(b)
-    if a.shape != b.shape:
-        raise LossError("shape mismatch")
+    a, _ = geometry._as_image(a, LossError, "images")
+    b, _ = geometry._as_image(b, LossError, "images")
+    geometry._same_shape(LossError, a, b)
     return a, b
 
 
@@ -300,15 +288,11 @@ def photometric_loss_grad(img_t, img_st, mask=None,
 
 
 def _hint_inputs(pred_depth, target_depth, mask):
-    """Predicted and target depth as float64 arrays of one shape, finite and
+    """Predicted and target depth as float64 maps of one shape, finite and
     positive everywhere, with the mask of the pixels to average over."""
-    pred = np.asarray(pred_depth, dtype=np.float64)
-    target = np.asarray(target_depth, dtype=np.float64)
-    if pred.shape != target.shape:
-        raise LossError("shape mismatch")
-    for depth in (pred, target):
-        geometry._check_map(depth, LossError,
-                            "depths must be finite and positive", low=0.0)
+    geometry._same_shape(LossError, pred_depth, target_depth)
+    pred = geometry._as_depth(pred_depth, LossError)
+    target = geometry._as_depth(target_depth, LossError)
     return pred, target, _valid_mask(mask, pred.shape)
 
 
@@ -329,10 +313,13 @@ def hint_loss_grad(pred_depth, target_depth, mask=None) -> np.ndarray:
 
 def _smoothness_terms(disp, img):
     disp = np.asarray(disp, dtype=np.float64)
-    img = _as_hwc(img)
-    if disp.shape != img.shape[:2]:
-        raise LossError("shape mismatch")
+    img, _ = geometry._as_image(img, LossError, "images")
+    geometry._same_shape(LossError, disp, img[:, :, 0])
     geometry._check_map(disp, LossError, "disparity must be finite")
+    if min(disp.shape) < 2:
+        # a 1-pixel axis has no forward difference to average
+        raise LossError(f"smoothness needs at least 2x2 pixels, got shape "
+                        f"{disp.shape}")
     mean = disp.mean()
     if mean <= 0:
         raise LossError("disparity mean must be positive")
@@ -389,15 +376,13 @@ def _prepare_cross_entropy(target, probs):
         raise LossError("probability vectors must sum to 1 within 1e-5")
     target = np.asarray(target)
     if target.ndim == 2:
-        if target.shape != probs.shape[:2]:
-            raise LossError("shape mismatch")
+        geometry._same_shape(LossError, target, probs[:, :, 0])
         if not (0 <= target.min() and target.max() < k):
             raise LossError("class ids out of range")
         index = target.astype(np.intp).ravel()
         index += np.arange(0, h * w * k, k)
         return index, probs
-    if target.shape != probs.shape:
-        raise LossError("shape mismatch")
+    geometry._same_shape(LossError, target, probs)
     target = np.asarray(target, dtype=np.float64)
     geometry._check_map(target, LossError, "soft target must be finite")
     return target, probs
@@ -466,7 +451,7 @@ def multiscale_photometric(disparities, img_t, img_s, pose, cam,
     conversion and warping."""
     if len(disparities) != 4:
         raise LossError("expected disparity maps at 4 scales")
-    img_t = _as_hwc(img_t)
+    img_t, _ = geometry._as_image(img_t, LossError, "images")
     h, w_img = img_t.shape[:2]
     if h < 8 or w_img < 8:
         raise LossError("images must be at least 8x8, so that the 1/8 "
@@ -494,8 +479,10 @@ def combine_shared_gradients(g_depth, g_seg, alpha: float) -> np.ndarray:
     gradient, applied inside shared parameters only."""
     g_depth = np.asarray(g_depth, dtype=np.float64)
     g_seg = np.asarray(g_seg, dtype=np.float64)
-    if g_depth.shape != g_seg.shape:
-        raise LossError("shape mismatch")
+    geometry._same_shape(LossError, g_depth, g_seg)
+    for g in (g_depth, g_seg):
+        geometry._check_map(g, LossError,
+                            "gradients must be non-empty and finite")
     if not 0.0 <= alpha <= 1.0:
         raise LossError("alpha must lie in [0, 1]")
     return alpha * g_depth + (1.0 - alpha) * g_seg

@@ -50,8 +50,7 @@ def evaluate_depth(pred, gt, gt_valid=None,
     """
     pred = np.asarray(pred, dtype=np.float64)
     gt = np.asarray(gt, dtype=np.float64)
-    if pred.shape != gt.shape:
-        raise MetricsError("shape mismatch")
+    geometry._same_shape(MetricsError, pred, gt)
     # an empty map fails below, as having no valid ground-truth pixels
     if pred.size:
         geometry._check_map(pred, MetricsError, "predictions must be finite")
@@ -85,8 +84,7 @@ def reprojection_error(tracked, gt) -> tuple[float, float]:
     infinite coordinate in either list raises ``MetricsError``."""
     tracked = np.asarray(tracked, dtype=np.float64).reshape(-1, 2)
     gt = np.asarray(gt, dtype=np.float64).reshape(-1, 2)
-    if tracked.shape != gt.shape:
-        raise MetricsError("point lists must have equal length")
+    geometry._same_shape(MetricsError, tracked, gt)
     if tracked.shape[0] == 0:
         raise MetricsError("empty point lists")
     for points in (tracked, gt):

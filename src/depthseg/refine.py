@@ -89,24 +89,9 @@ class RefineState:
             raise RefineError("confident and unreliable masks must be bool, "
                               f"got {self.confident.dtype} and "
                               f"{self.unreliable.dtype}")
-        _check_same_shape(self.confident, self.unreliable)
+        geometry._same_shape(RefineError, self.confident, self.unreliable)
         if (self.confident & self.unreliable).any():
             raise RefineError("confident and unreliable sets overlap")
-
-
-def _check_same_shape(*arrays):
-    shapes = {a.shape for a in arrays}
-    if len(shapes) != 1:
-        raise RefineError(f"shape mismatch: {sorted(shapes)}")
-
-
-def _check_depth(depth: np.ndarray):
-    if depth.ndim != 2:
-        raise RefineError(f"maps must be 2-D (H, W), got shape {depth.shape}")
-    if depth.size == 0:
-        raise RefineError("empty image")
-    geometry._check_map(depth, RefineError,
-                        "depth must be finite and positive", low=0.0)
 
 
 def split_confidence_by_agreement(y: np.ndarray,
@@ -114,7 +99,7 @@ def split_confidence_by_agreement(y: np.ndarray,
     """Partition pseudo-label pixels by agreement with the prediction."""
     y = np.asarray(y)
     y_hat = np.asarray(y_hat)
-    _check_same_shape(y, y_hat)
+    geometry._same_shape(RefineError, y, y_hat)
     agree = y == y_hat
     return RefineState(confident=agree, unreliable=~agree)
 
@@ -136,9 +121,8 @@ def refine_segmentation_with_depth(y: np.ndarray, y_hat: np.ndarray,
     the depth-closest confident neighbor, when that depth gap is below the
     threshold. Every reached pixel becomes confident regardless."""
     y = np.asarray(y)
-    depth = np.asarray(depth, dtype=np.float64)
-    _check_same_shape(y, np.asarray(y_hat), depth)
-    _check_depth(depth)
+    geometry._same_shape(RefineError, y, y_hat, depth)
+    depth = geometry._as_depth(depth, RefineError)
     state = split_confidence_by_agreement(y, y_hat)
     threshold = _resolve_threshold(cfg, depth, state.confident)
     if impl == "parallel":
@@ -233,8 +217,6 @@ def _refine_seg_parallel(y, confident, depth, threshold, cfg):
             np.copyto(best_gap, gap, where=closer)
             np.copyto(best_nb, nb, where=closer)
         new = cand.compress(best_gap < np.inf)
-        if not new.size:
-            break
         relabel = best_gap < threshold
         # gather every new label before writing any
         labels[cand.compress(relabel)] = labels[best_nb.compress(relabel)]
@@ -294,10 +276,8 @@ def split_confidence_by_consistency(depth: np.ndarray, y_refined: np.ndarray,
     labels agree and the warp sample was valid; warp-invalid pixels are
     always unreliable (they carry no photometric evidence).
     """
-    depth = np.asarray(depth, dtype=np.float64)
     y_refined = np.asarray(y_refined)
-    _check_same_shape(depth, y_refined, np.asarray(y_t), np.asarray(y_st),
-                      np.asarray(warp_valid))
+    geometry._same_shape(RefineError, depth, y_refined, y_t, y_st, warp_valid)
     for c in classes:
         if not (isinstance(c, numbers.Integral)
                 or isinstance(c, numbers.Real) and float(c).is_integer()):
@@ -333,8 +313,7 @@ def refine_depth_with_segmentation(depth: np.ndarray,
     same-class neighbors; ``states`` holds one partition per class, and the
     classes' pixel sets must not overlap. All classes propagate in one
     wavefront, so a cap of N iterations caps every class at N."""
-    depth = np.asarray(depth, dtype=np.float64)
-    _check_depth(depth)
+    depth = geometry._as_depth(depth, RefineError)
     # per-pixel index of the state whose class holds it, -1 for none, in the
     # smallest integer type that holds every index, and the confident pixels
     # of every class
@@ -342,7 +321,7 @@ def refine_depth_with_segmentation(depth: np.ndarray,
                     dtype=np.min_scalar_type(-max(len(states), 1)))
     confident = np.zeros(depth.shape, dtype=bool)
     for i, st in enumerate(states):
-        _check_same_shape(depth, st.confident, st.unreliable)
+        geometry._same_shape(RefineError, depth, st.confident, st.unreliable)
         mask = st.confident | st.unreliable
         if (mask & (owner >= 0)).any():
             raise RefineError("class states overlap")
@@ -450,8 +429,7 @@ def refine_depth_full(depth: np.ndarray, y_refined: np.ndarray,
     warped, valid = geometry.warp(img_source, depth, pose, cam)
     y_t = np.asarray(segmenter(img_target))
     y_st = np.asarray(segmenter(warped))
-    if y_t.shape != depth.shape or y_st.shape != depth.shape:
-        raise RefineError("segmenter output shape mismatch")
+    geometry._same_shape(RefineError, depth, y_t, y_st)
     # a fractional label is no class id: the split names it as present in
     # the labels but absent from the classes
     classes = [c for c in np.unique(y_refined).tolist()

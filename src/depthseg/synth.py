@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Camera, _check_map
+from .geometry import Camera, _check_map, _same_shape
 
 
 class SynthError(ValueError):
@@ -136,8 +136,11 @@ class SceneSpec:
                                  "background depth")
         nearest = min([self.background_depth]
                       + [obj.depth for obj in self.objects])
-        if not math.isfinite(self.disparity(nearest)):
-            raise SynthError("the nearest surface's disparity overflows")
+        # the texture pass casts each column plus a disparity to int64;
+        # below 2**53 the sum fits and still tells the columns apart
+        if not self.disparity(nearest) < 2.0 ** 53:
+            raise SynthError("the nearest surface's disparity must be below "
+                             "2**53 pixels")
         object.__setattr__(self, "objects", tuple(self.objects))
 
     def disparity(self, depth: float) -> float:
@@ -386,9 +389,12 @@ def intensity_segmenter(levels: int = 64):
         if arr.ndim == 3:
             arr = arr.mean(axis=2)
         # clipped before the cast, which an out-of-range value (say 1e10)
-        # would overflow; in range, truncating then clipping is the same
+        # would overflow; in range, truncating then clipping is the same.
+        # The clip keeps NaN, which fails the test below
         scaled = arr * levels
         np.clip(scaled, 0, levels - 1, out=scaled)
+        if scaled.size and not scaled.min() >= 0:
+            raise SynthError("segmenter input must not hold NaN")
         return scaled.astype(np.int32)
     return segment
 
@@ -427,8 +433,7 @@ def corrupt(gt_depth: np.ndarray, gt_seg: np.ndarray,
     """Apply the bleeding-style depth corruption and random label flips."""
     depth = np.asarray(gt_depth, dtype=np.float64).copy()
     seg = np.asarray(gt_seg, dtype=np.int32).copy()
-    if depth.shape != seg.shape:
-        raise SynthError("shape mismatch")
+    _same_shape(SynthError, depth, seg)
     _check_map(depth, SynthError, "depth must be non-empty and finite")
     if cspec.bleed_width > 0:
         _bleed(depth, cspec.bleed_width)

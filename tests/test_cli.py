@@ -588,3 +588,42 @@ def test_help_text(monkeypatch, capsys, argv, text):
             run(argv)
         assert exc.value.code == 0
         assert capsys.readouterr() == (text, "")
+
+
+def test_synth_preview_under_a_regular_file_exit_code_2(tmp_path, capsys):
+    # input and output paths under a regular file, command by command, are
+    # in the input-fuzz matrix of test_cli_fuzz.py
+    cfg = tmp_path / "scene.cfg"
+    cfg.write_text(SCENE_CFG)
+    (tmp_path / "afile").write_text("")
+    assert run(["synth", "--config", str(cfg), "--out-prefix",
+                str(tmp_path / "afile" / "x"), "--preview"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Not a directory" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile",
+                                                          "scene.cfg"]
+
+
+def test_synth_removes_its_outputs_when_a_later_one_fails(tmp_path, capsys):
+    cfg = tmp_path / "scene.cfg"
+    cfg.write_text(SCENE_CFG)
+    # the preview, written last, cannot replace a directory
+    (tmp_path / "s_left.pgm").mkdir()
+    assert run(["synth", "--config", str(cfg), "--out-prefix",
+                str(tmp_path / "s"), "--preview"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["s_left.pgm",
+                                                          "scene.cfg"]
+    assert not any((tmp_path / "s_left.pgm").iterdir())
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 3e9])
+def test_float_labels_out_of_int32_exit_code_2(tmp_path, capsys, bad):
+    argv, y, _, _ = refine_seg_inputs(tmp_path)
+    labels = y.astype(np.float32)
+    labels[3, 4] = bad
+    tensorio.save_tensor(Tensor2D(labels), tmp_path / "y.stn")
+    out = tmp_path / "refined.stn"
+    assert run(argv + ["--out", str(out)]) == 2
+    assert "labels must be finite" in capsys.readouterr().err
+    assert not out.exists()

@@ -551,3 +551,33 @@ def test_disparity_to_depth_matches_expression_bitwise(dtype):
         assert_bitwise([got], [want])
         assert not np.shares_memory(got, sigma)
     assert np.array_equal(sigma, before)
+
+
+@pytest.mark.parametrize("shape", [(12,), (3, 4, 2), ()])
+def test_project_rejects_depth_that_is_not_2d(shape):
+    with pytest.raises(GeometryError, match="2-D"):
+        project(np.full(shape, 2.0), Pose.identity(), Camera(10, 10, 2, 2))
+
+
+@pytest.mark.parametrize("depth", [np.zeros((0, 4)), np.full((2, 3), -1.0),
+                                   np.zeros((2, 3))])
+def test_project_rejects_empty_or_nonpositive_depth(depth):
+    with pytest.raises(GeometryError, match="non-empty, finite and positive"):
+        project(depth, Pose.identity(), Camera(10, 10, 2, 2))
+
+
+@pytest.mark.parametrize("d, d_flipped, error", [
+    (np.ones((4, 6)), np.ones((4, 5)), "shape mismatch"),
+    (np.ones((4, 6)), np.ones((6, 4)), "shape mismatch"),
+    (np.ones(6), np.ones(6), "2-D"),
+    (np.ones((2, 3, 1)), np.ones((2, 3, 1)), "2-D"),
+])
+def test_flip_postprocess_rejects_misshaped_maps(d, d_flipped, error):
+    with pytest.raises(GeometryError, match=error):
+        flip_postprocess(d, d_flipped)
+
+
+@pytest.mark.parametrize("shape", [(3, 4), (4, 5), (5, 5, 3), (1, 2)])
+def test_downsample_rejects_odd_sizes(shape):
+    with pytest.raises(GeometryError, match="even"):
+        geometry.downsample2x_area(np.ones(shape))

@@ -687,3 +687,78 @@ def test_upsample_and_multiscale_photometric_peak_memory():
     assert traced_peak(multiscale_photometric, pyramid, left, right,
                        geometry.Pose.stereo_baseline(0.54), cam,
                        DEPTH_PARAMS) <= 13.9 * unit
+
+
+@pytest.mark.parametrize("fn", [ssim_map, photometric_loss,
+                                photometric_loss_grad])
+@pytest.mark.parametrize("shape", [(6,), (2, 3, 4, 1)])
+def test_losses_reject_images_that_are_neither_2d_nor_3d(fn, shape):
+    with pytest.raises(LossError, match=r"\(H, W\) or \(H, W, C\)"):
+        fn(np.ones(shape), np.ones(shape))
+
+
+@pytest.mark.parametrize("fn", [smoothness_loss, smoothness_loss_grad])
+@pytest.mark.parametrize("disp, img, error", [
+    (np.ones((4, 5)), np.ones((4, 6)), "shape mismatch"),
+    (np.ones((4, 5)), np.ones((5, 4, 3)), "shape mismatch"),
+    (np.zeros((4, 5)), np.ones((4, 5)), "mean must be positive"),
+    (-np.ones((4, 5)), np.ones((4, 5)), "mean must be positive"),
+    (np.ones((1, 5)), np.ones((1, 5)), "at least 2x2"),
+    (np.ones((5, 1)), np.ones((5, 1, 3)), "at least 2x2"),
+])
+def test_smoothness_rejects_bad_inputs(fn, disp, img, error):
+    with pytest.raises(LossError, match=error):
+        fn(disp, img)
+
+
+@pytest.mark.parametrize("fn", [cross_entropy, cross_entropy_grad])
+@pytest.mark.parametrize("shape", [(4, 4), (4,), (2, 2, 2, 2)])
+def test_cross_entropy_rejects_probabilities_that_are_not_hwk(fn, shape):
+    with pytest.raises(LossError, match=r"must be \(H, W, K\)"):
+        fn(np.zeros((2, 2), int), np.ones(shape))
+
+
+def test_combine_shared_gradients_rejects_a_shape_mismatch():
+    with pytest.raises(LossError, match="shape mismatch"):
+        combine_shared_gradients(np.ones((2, 3)), np.ones((3, 2)), 0.5)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("side", [0, 1])
+def test_combine_shared_gradients_rejects_nonfinite_gradients(bad, side):
+    grads = [np.ones(3), np.ones(3)]
+    grads[side][1] = bad
+    with pytest.raises(LossError, match="finite"):
+        combine_shared_gradients(*grads, 0.5)
+
+
+def _multiscale_inputs(h=16, w=16):
+    rng = np.random.default_rng(4)
+    disps = [np.full((h >> s, w >> s), 0.5) for s in range(4)]
+    return (disps, rng.random((h, w)), rng.random((h, w)), geometry.Pose.
+            stereo_baseline(0.1), geometry.Camera(10, 10, 7.5, 7.5),
+            geometry.DepthParams(1.0, 0.1))
+
+
+@pytest.mark.parametrize("scales", [0, 3, 5])
+def test_multiscale_photometric_rejects_other_scale_counts(scales):
+    disps, *rest = _multiscale_inputs()
+    disps = (disps * 2)[:scales]
+    with pytest.raises(LossError, match="4 scales"):
+        multiscale_photometric(disps, *rest)
+
+
+@pytest.mark.parametrize("scale", [0, 1, 3])
+def test_multiscale_photometric_rejects_a_misshaped_scale(scale):
+    disps, *rest = _multiscale_inputs()
+    disps[scale] = np.full((disps[scale].shape[0] + 1,
+                            disps[scale].shape[1]), 0.5)
+    with pytest.raises(LossError, match=f"scale {scale}: expected shape"):
+        multiscale_photometric(disps, *rest)
+
+
+@pytest.mark.parametrize("fn", [hint_loss, hint_loss_grad])
+@pytest.mark.parametrize("shape", [(4,), (2, 2, 1)])
+def test_hint_loss_rejects_depth_that_is_not_2d(fn, shape):
+    with pytest.raises(LossError, match="2-D"):
+        fn(np.ones(shape), np.ones(shape))

@@ -116,3 +116,23 @@ def test_nonfinite_ground_truth_is_not_valid(bad):
 def test_nonfinite_cap_rejected(cap):
     with pytest.raises(MetricsError):
         evaluate_depth(np.full((2, 2), 5.0), np.full((2, 2), 5.0), cap=cap)
+
+
+@pytest.mark.parametrize("pred, gt", [
+    (np.ones((2, 3)), np.ones((3, 2))),
+    (np.ones((2, 3)), np.ones(6)),
+])
+def test_evaluate_depth_rejects_a_shape_mismatch(pred, gt):
+    with pytest.raises(MetricsError, match="shape mismatch"):
+        evaluate_depth(pred, gt)
+
+
+@pytest.mark.parametrize("tracked, gt, error", [
+    ([], [], "empty point lists"),
+    (np.zeros((0, 2)), np.zeros((0, 2)), "empty point lists"),
+    ([[1.0, 2.0]], [[1.0, 2.0], [3.0, 4.0]], "shape mismatch"),
+])
+def test_reprojection_error_rejects_empty_or_unequal_lists(tracked, gt,
+                                                          error):
+    with pytest.raises(MetricsError, match=error):
+        reprojection_error(tracked, gt)

@@ -656,3 +656,46 @@ def test_refine_depth_full_rejects_nonfinite_images(which, bad):
                               target, source, geometry.Pose.identity(),
                               geometry.Camera(10, 10, 2.5, 1.5),
                               synth.intensity_segmenter(64), impl=impl)
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0)])
+def test_passes_reject_empty_depth(shape):
+    depth = np.zeros(shape)
+    y = np.zeros(shape, int)
+    conf = np.zeros(shape, bool)
+    for impl in ("parallel", "reference"):
+        with pytest.raises(RefineError, match="non-empty"):
+            refine_segmentation_with_depth(y, y, depth, impl=impl)
+        with pytest.raises(RefineError, match="non-empty"):
+            refine_depth_with_segmentation(
+                depth, [RefineState(confident=conf, unreliable=~conf)],
+                impl=impl)
+
+
+def test_state_rejects_overlapping_sets():
+    mask = np.array([[True, False]])
+    with pytest.raises(RefineError, match="overlap"):
+        RefineState(confident=mask, unreliable=mask)
+
+
+@pytest.mark.parametrize("shape", [(4, 7), (3, 6), (4, 6, 1)])
+def test_refine_depth_full_rejects_misshaped_segmenter_output(shape):
+    for impl in ("parallel", "reference"):
+        with pytest.raises(RefineError, match="shape mismatch"):
+            refine_depth_full(np.full((4, 6), 3.0), np.zeros((4, 6), int),
+                              np.ones((4, 6)), np.ones((4, 6)),
+                              geometry.Pose.identity(),
+                              geometry.Camera(10, 10, 2.5, 1.5),
+                              lambda img: np.zeros(shape, int), impl=impl)
+
+
+def test_seg_pass_without_a_confident_pixel_changes_nothing():
+    # every label disagrees with the prediction, so the default threshold
+    # has no confident depth to resolve from and no pixel is reached
+    rng = np.random.default_rng(11)
+    y = rng.integers(0, 3, (5, 7))
+    y_hat = (y + 1) % 3
+    depth = 1.0 + rng.random((5, 7))
+    for impl in ("parallel", "reference"):
+        out = refine_segmentation_with_depth(y, y_hat, depth, impl=impl)
+        assert np.array_equal(out, y)

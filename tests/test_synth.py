@@ -583,3 +583,34 @@ def test_corrupt_rejects_empty_or_nonfinite_depth(depth):
     seg = np.zeros(depth.shape, np.int32)
     with pytest.raises(SynthError, match="non-empty and finite"):
         corrupt(depth, seg, CorruptionSpec(bleed_width=1))
+
+
+def test_corrupt_rejects_a_shape_mismatch():
+    with pytest.raises(SynthError, match="shape mismatch"):
+        corrupt(np.full((4, 5), 2.0), np.zeros((5, 4), np.int32),
+                CorruptionSpec(bleed_width=1))
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (2, 3, 3)])
+def test_segmenter_rejects_nan(shape):
+    img = np.full(shape, 0.5)
+    img[1, 2] = np.nan
+    with pytest.raises(SynthError, match="NaN"):
+        intensity_segmenter()(img)
+
+
+def test_segmenter_keeps_its_labels_on_finite_input():
+    img = np.array([[0.0, 0.5, 0.999, 1.0, -3.0, 7.0, np.inf, -np.inf]])
+    assert intensity_segmenter()(img).tolist() == [[0, 32, 63, 63, 0, 63,
+                                                    63, 0]]
+    assert intensity_segmenter()(np.zeros((0, 3))).shape == (0, 3)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("baseline", 1e30),
+    ("objects", (ObjectSpec("rect", (20, 50, 44, 74), 1e-38, 1, 5),)),
+])
+def test_scene_rejects_disparities_beyond_2_53(field, value):
+    # finite, but the texture pass could not cast such columns to int64
+    with pytest.raises(SynthError, match=r"below 2\*\*53"):
+        make_scene(**{field: value})

@@ -125,3 +125,14 @@ def test_to_float_and_back():
     assert f.data.max() == pytest.approx(1.0)
     u = tensorio.to_u8(f)
     assert np.array_equal(u.data[:, :, 0], arr)
+
+
+@pytest.mark.parametrize("shape", [(5,), (2, 3, 1, 1)])
+def test_tensor_rejects_1d_and_4d_arrays(shape):
+    with pytest.raises(TensorError, match="expected 2D or 3D array"):
+        Tensor2D(np.zeros(shape, np.float32))
+
+
+def test_to_float_rejects_i32():
+    with pytest.raises(TensorError, match="u8 or f32"):
+        tensorio.to_float(Tensor2D(np.zeros((2, 2), np.int32)))
