@@ -14,6 +14,11 @@ factors). ``load_tables`` runs the walk once per level, so a malformed
 manifest fails at load, and ``branch_param_totals``, ``output_shapes`` and
 ``report`` read it. A branch layer weight-tied to a trunk conv reads its
 channels and stride through that conv and adds no parameters of its own.
+
+The manifest's set of sections is fixed, and each appears exactly once. A
+``key = value`` line needs its ``=`` and names its key once per section,
+both encoder sections name the same encoders, and ``[sharing_levels]``
+names each level.
 """
 
 from __future__ import annotations
@@ -24,6 +29,10 @@ from fractions import Fraction
 
 LEVELS = ("l0", "l1", "l2", "l3", "l4")
 ENCODERS = ("resnet18", "resnet50")
+
+# each manifest section, which appears exactly once
+_SECTIONS = ("encoder_channels", "encoder_params", "depth_decoder",
+             *(f"seg_{lvl}" for lvl in LEVELS), "sharing_levels")
 
 # after the stem / four residual stages, relative to the input resolution
 _ENCODER_STRIDES = {"econv1": 2, "econv2": 4, "econv3": 8, "econv4": 16,
@@ -114,30 +123,42 @@ def load_tables(text: str | None = None,
     width of sconv3 (the tables store 1)."""
     if text is None:
         text = _read_manifest_text()
-    sections: dict[str, list[str]] = {}
+    # each section's (line number, line) pairs
+    sections: dict[str, list[tuple[int, str]]] = {}
     current = None
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].rstrip()
         if not line.strip():
             continue
         if line.startswith("["):
             current = line.strip().strip("[]")
+            if current not in _SECTIONS:
+                raise ArchError(f"line {lineno}: unknown section {line!r}")
+            if current in sections:
+                raise ArchError(f"line {lineno}: repeated section {line!r}")
             sections[current] = []
         elif current is None:
             raise ArchError(f"content before first section: {line!r}")
         else:
-            sections[current].append(line.strip())
-
-    def section(name):
+            sections[current].append((lineno, line.strip()))
+    for name in _SECTIONS:
         if name not in sections:
             raise ArchError(f"missing section [{name}]")
-        return sections[name]
+
+    def section(name):
+        return [line for _, line in sections[name]]
 
     def kv_lines(name):
         out = {}
-        for line in sections.get(name, ()):
-            key, _, value = line.partition("=")
-            out[key.strip()] = value.strip()
+        for lineno, line in sections[name]:
+            key, eq, value = (part.strip() for part in line.partition("="))
+            if not eq:
+                raise ArchError(f"line {lineno}: expected key = value, got "
+                                f"{line!r}")
+            if key in out:
+                raise ArchError(f"line {lineno}: repeated key {key!r} in "
+                                f"[{name}]")
+            out[key] = value
         return out
 
     encoder_channels = {}
@@ -154,11 +175,18 @@ def load_tables(text: str | None = None,
             raise ArchError(f"encoder {enc}: no channels for {missing}")
     encoder_params = {enc: _int(v, f"{enc} = {v}")
                       for enc, v in kv_lines("encoder_params").items()}
+    if encoder_params.keys() != encoder_channels.keys():
+        raise ArchError("[encoder_channels] names encoders "
+                        f"{sorted(encoder_channels)}, [encoder_params] "
+                        f"{sorted(encoder_params)}")
 
     trunk = tuple(_parse_layer(line) for line in section("depth_decoder"))
     trunk_names = {layer.name for layer in trunk}
     shared_lists = {lvl: tuple(v.split())
                     for lvl, v in kv_lines("sharing_levels").items()}
+    if shared_lists.keys() != set(LEVELS):
+        raise ArchError(f"[sharing_levels] names {sorted(shared_lists)}, "
+                        f"not the levels {list(LEVELS)}")
 
     levels = {}
     for lvl in LEVELS:
@@ -166,7 +194,7 @@ def load_tables(text: str | None = None,
         if num_classes is not None:
             layers = [replace(sp, out_channels=num_classes)
                       if sp.name == "sconv3" else sp for sp in layers]
-        shared = shared_lists.get(lvl, ())
+        shared = shared_lists[lvl]
         if not set(shared) <= trunk_names:
             raise ArchError(f"{lvl}: shared layers "
                             f"{sorted(set(shared) - trunk_names)} are not in "

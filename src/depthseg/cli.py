@@ -53,14 +53,17 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _plane(t: tensorio.Tensor2D, dtype=np.float64) -> np.ndarray:
-    """Single-channel tensor as a 2-D array. Float labels are truncated to
-    int32, so each must be finite and in its range."""
+    """Single-channel tensor as a 2-D array. Float labels are cast to
+    int32, so each must be a finite whole number in its range."""
     if t.channels != 1:
         raise tensorio.TensorError("expected a single-channel tensor")
     plane = t.data[:, :, 0]
-    if (dtype is np.int32 and t.dtype_name == "f32"
-            and not (-2.0 ** 31 <= plane.min() and plane.max() < 2.0 ** 31)):
-        raise tensorio.TensorError("labels must be finite and fit in int32")
+    if dtype is np.int32 and t.dtype_name == "f32":
+        if not (-2.0 ** 31 <= plane.min() and plane.max() < 2.0 ** 31):
+            raise tensorio.TensorError("labels must be finite and fit in "
+                                       "int32")
+        if not np.array_equal(plane, np.trunc(plane)):
+            raise tensorio.TensorError("labels must be whole numbers")
     return plane.astype(dtype)
 
 

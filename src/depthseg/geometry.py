@@ -28,11 +28,12 @@ arithmetic. ``disparity_to_depth`` converts in one buffer.
 
 The module also holds private helpers the other modules share: the
 8-neighborhood offsets, as flat steps into a padded array for the
-refinement wavefronts, and one check per array input rule, each raising
-the caller's error class: the non-empty, finite (and optionally positive)
-map check, the equal-shape check, the image check that also makes an
-(H, W, C) float64 array, and the depth-map check that also makes a 2-D
-float64 map.
+refinement wavefronts; one 3x3 window reduction, the SSIM box sum with
+``np.add`` and the synthetic depth bleed with ``np.minimum``; and one check
+per array input rule, each raising the caller's error class: the
+non-empty, finite (and optionally positive) map check, the equal-shape
+check, the image check that also makes an (H, W, C) float64 array, and the
+depth-map check that also makes a 2-D float64 map.
 """
 
 from __future__ import annotations
@@ -131,6 +132,32 @@ def _flat_offsets(width: int) -> np.ndarray:
     array or wraps onto another row."""
     return np.array([dr * width + dc for dr, dc in _NEIGHBOR_OFFSETS],
                     dtype=np.intp)
+
+
+def _window3(x: np.ndarray, op: np.ufunc) -> np.ndarray:
+    """``op`` reduced over each pixel's 3x3 window of in-image pixels of an
+    (H, W) or (H, W, C) array, into a new C-contiguous array. A 3-tap pass
+    combines the tap before each position with the position, then with the
+    tap after it: down the rows, then along the row results read as one
+    flat (H*W, C) array, so each shift is contiguous. The first and last
+    columns, whose flat taps wrapped onto a neighboring row, are combined
+    again from the row results in the same order."""
+    h, w = x.shape[:2]
+    rows = np.empty_like(x, order="C")
+    out = np.empty_like(x, order="C")
+    for src, dst in ((x, rows),
+                     (rows.reshape(h * w, -1), out.reshape(h * w, -1))):
+        op(src[:-1], src[1:], out=dst[1:])
+        dst[0] = src[0]
+        op(dst[:-1], src[1:], out=dst[:-1])
+    for j in {0, w - 1}:
+        col = out[:, j]
+        np.copyto(col, rows[:, j])
+        if j > 0:
+            op(rows[:, j - 1], col, out=col)
+        if j + 1 < w:
+            op(col, rows[:, j + 1], out=col)
+    return out
 
 
 def _check_map(arr: np.ndarray, error: type[Exception], message: str,

@@ -14,14 +14,14 @@ they can be checked against finite differences. Each loss and its gradient
 validate their inputs through one shared helper, so both reject the same
 inputs.
 
-Cost model. An SSIM box sum is O(HW) direct adds: a zero-padded 3-tap sum
-down the rows, then along the columns, each added in place, and the window
-pixel counts come in closed form. The column pass shifts the row sums as
-one flat (H*W, C) array, so each tap is a contiguous pass, and then sums
-the first and last columns again, whose taps wrapped onto a neighboring
-row. The SSIM terms form ``mu_a**2``, ``mu_b**2`` and ``mu_a*mu_b`` once
-each and share them, square and multiply the images into one product
-buffer, and turn the moments into variances and the covariance in place.
+Cost model. An SSIM box sum, ``geometry._window3`` with ``np.add``, is
+O(HW) direct adds: a zero-padded 3-tap sum down the rows, then along the
+columns as one flat (H*W, C) array, each tap a contiguous in-place pass,
+then the first and last columns again, whose taps wrapped onto a
+neighboring row. The window pixel counts come in closed form. The SSIM
+terms form ``mu_a**2``, ``mu_b**2`` and ``mu_a*mu_b`` once each and share
+them, square and multiply the images into one product buffer, and turn the
+moments into variances and the covariance in place.
 The gradient forms ``d1*d2`` once and writes each partial derivative over a
 term it no longer reads. The photometric loss builds its per-pixel terms in
 place and averages the valid pixels through ``compress``. The multi-scale
@@ -105,43 +105,10 @@ def _valid_mask(mask, shape: tuple) -> np.ndarray:
     return mask
 
 
-def _box_pass(x: np.ndarray) -> np.ndarray:
-    """The SSIM window's taps along axis 0, summed into a new C-contiguous
-    array: each position's own value, then the taps 1, 2, ... steps before
-    and after it. The first sum also makes the copy."""
-    out = np.empty_like(x, order="C")
-    np.add(x[1:], x[:-1], out=out[1:])
-    out[0] = x[0]
-    out[:-1] += x[1:]
-    for d in range(2, SSIM_WINDOW // 2 + 1):
-        out[d:] += x[:-d]
-        out[:-d] += x[d:]
-    return out
-
-
 def _box_sum(x: np.ndarray) -> np.ndarray:
     """Zero-padded box sum over the SSIM window of an (H, W, C) array
-    (self-adjoint): the window's taps added down the rows, then along the
-    columns.
-
-    The column pass runs over the row sums as one flat (H*W, C) array, so
-    a one-pixel shift is a contiguous one. There, the first and last
-    ``SSIM_WINDOW // 2`` columns pick up taps that wrapped onto a
-    neighboring row; they are summed again from the row sums, with the
-    taps in ``_box_pass``'s order."""
-    h, w, c = x.shape
-    rows = _box_pass(x)
-    out = _box_pass(rows.reshape(h * w, c)).reshape(h, w, c)
-    r = SSIM_WINDOW // 2
-    for j in {*range(min(r, w)), *range(max(w - r, 0), w)}:
-        col = out[:, j]
-        np.copyto(col, rows[:, j])
-        for d in range(1, r + 1):
-            if j >= d:
-                col += rows[:, j - d]
-            if j + d < w:
-                col += rows[:, j + d]
-    return out
+    (self-adjoint), into a new C-contiguous array."""
+    return geometry._window3(x, np.add)
 
 
 def _window_counts(n: int) -> np.ndarray:

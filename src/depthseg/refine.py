@@ -422,7 +422,7 @@ def refine_depth_full(depth: np.ndarray, y_refined: np.ndarray,
     """Full depth refinement pass: warp the source view, segment both views,
     split by consistency, then propagate confident depth within each
     class."""
-    depth = np.asarray(depth, dtype=np.float64)
+    depth = geometry._as_depth(depth, RefineError)
     for img in (img_target, img_source):
         geometry._check_map(np.asarray(img), RefineError,
                             "images must be non-empty and finite")

@@ -19,9 +19,10 @@ a fixed number of gathers and arithmetic passes over the view, whatever
 the number of surfaces. The occlusion test visits only the rows of each
 object's bounding box.
 
-``corrupt``'s bleed grows the foreground one 3×3 minimum per step, taken as
-two separable 3-tap minima, and stops as soon as a step grows nothing, so
-it makes at most about max(H, W) passes whatever ``bleed_width`` says.
+``corrupt``'s bleed grows the foreground one 3×3 minimum per step, the
+window reduction the SSIM box sum also uses (``geometry._window3``), and
+stops as soon as a step grows nothing, so it makes at most about max(H, W)
+passes whatever ``bleed_width`` says.
 
 ``parse_scene_config`` reads a scene and its corruption from a flat text
 file of ``key=value`` lines, where ``#`` starts a comment. Each value must be
@@ -35,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Camera, _check_map, _same_shape
+from .geometry import Camera, _check_map, _same_shape, _window3
 
 
 class SynthError(ValueError):
@@ -109,8 +110,14 @@ class ObjectSpec:
         return slice(idx[0], idx[-1] + 1) if idx.size else None
 
 
+MAX_SCENE_SIDE = 2 ** 15
+
+
 @dataclass(frozen=True)
 class SceneSpec:
+    """A scene of ``height`` x ``width`` pixels; each side is at most
+    ``MAX_SCENE_SIDE`` (2**15) pixels."""
+
     height: int
     width: int
     camera: Camera
@@ -125,6 +132,9 @@ class SceneSpec:
                         "background_texture_seed")
         if self.height <= 0 or self.width <= 0:
             raise SynthError("degenerate image size")
+        if max(self.height, self.width) > MAX_SCENE_SIDE:
+            raise SynthError(f"image sides must be at most {MAX_SCENE_SIDE}, "
+                             f"got {self.height}x{self.width}")
         if not (math.isfinite(self.baseline) and self.baseline > 0):
             raise SynthError("baseline must be positive and finite")
         if not (math.isfinite(self.background_depth)
@@ -405,21 +415,11 @@ def _bleed(depth: np.ndarray, steps: int) -> None:
     pixel with a foreground 8-neighbor takes the smallest such neighbor's
     depth, so where two bleeds meet, the nearer one wins. Stops early once
     a step grows nothing."""
-    h, w = depth.shape
     fg = depth < depth.max()
-    # a growing pixel's own value is inf, so the full 3x3 minimum serves,
-    # taken down the rows and then along the columns of an inf-padded
-    # buffer, whose interior then holds the minimum
-    padded = np.full((h + 2, w + 2), np.inf)
-    nb_min = padded[1:-1, 1:-1]
-    rows_min = np.empty((h, w + 2))
     for _ in range(steps):
-        nb_min.fill(np.inf)
-        np.copyto(nb_min, depth, where=fg)
-        np.minimum(padded[:-2], padded[1:-1], out=rows_min)
-        np.minimum(rows_min, padded[2:], out=rows_min)
-        np.minimum(rows_min[:, :-2], rows_min[:, 1:-1], out=nb_min)
-        np.minimum(nb_min, rows_min[:, 2:], out=nb_min)
+        # a growing pixel's own value is inf, so the minimum over its 3x3
+        # window is the smallest depth among its foreground neighbors
+        nb_min = _window3(np.where(fg, depth, np.inf), np.minimum)
         grow = np.isfinite(nb_min)
         grow &= ~fg
         if not grow.any():
@@ -512,7 +512,7 @@ def parse_scene_config(path) -> SceneConfig:
     ``object=rect,r0,c0,r1,c1,depth,class,seed`` or
     ``object=disk,cr,cc,radius,depth,class,seed``.
     Every value must be a finite number, and an integer for the size, class,
-    seed and bleed_width keys.
+    seed and bleed_width keys. No key but ``object`` may repeat.
     """
     values: dict[str, float | int] = {}
     objects: list[ObjectSpec] = []
@@ -528,7 +528,10 @@ def parse_scene_config(path) -> SceneConfig:
             objects.append(ObjectSpec(shape, tuple(params), depth, class_id,
                                       seed))
         else:
-            values[key] = _number(path, lineno, value, key in _INTEGER_KEYS)
+            number = _number(path, lineno, value, key in _INTEGER_KEYS)
+            if key in values:
+                raise SynthError(f"{path}:{lineno}: repeated key {key!r}")
+            values[key] = number
     try:
         scene = SceneSpec(
             height=values.pop("height"),

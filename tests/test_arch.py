@@ -39,8 +39,11 @@ def test_num_classes_override():
 
 
 def test_manifest_rejects_undefined_input():
-    bad = "[depth_decoder]\nupconv5 | nowhere*2 | 3 | 256 | - | elu\n"
-    with pytest.raises(ArchError):
+    bad = ("[encoder_channels]\n[encoder_params]\n[sharing_levels]\n"
+           + "".join(f"{lvl} =\n" for lvl in arch.LEVELS)
+           + "[depth_decoder]\nupconv5 | nowhere*2 | 3 | 256 | - | elu\n")
+    with pytest.raises(ArchError, match=r"l0/upconv5: input 'nowhere' not "
+                                        r"defined earlier"):
         load_tables(bad + "[seg_l0]\n[seg_l1]\n[seg_l2]\n[seg_l3]\n[seg_l4]\n")
 
 
@@ -163,3 +166,58 @@ def test_report_rows_add_up_to_branch_totals(tables, level, encoder):
     assert (rows["shared"], rows["seg"]) == (shared, specific)
     assert f"shared decoder params   {shared}\n" in text
     assert text.endswith(f"seg-specific params     {specific}")
+
+
+@pytest.mark.parametrize("old, new, bad_line, error", [
+    ("[sharing_levels]", "[sharing_level]", "[sharing_level]",
+     r"unknown section '\[sharing_level\]'"),
+    ("l2 = upconv5", "l2 upconv5",
+     "l2 upconv5 iconv5 upconv4 iconv4 upconv3",
+     r"expected key = value, got 'l2 upconv5"),
+    ("[sharing_levels]", "[seg_l3]\n[sharing_levels]", "[seg_l3]",
+     r"repeated section '\[seg_l3\]'"),
+    ("resnet50 = 25557032", "resnet50 = 25557032\nresnet50 = 1",
+     "resnet50 = 1", r"repeated key 'resnet50' in \[encoder_params\]"),
+], ids=["misspelled-section", "key-without-equals", "repeated-section",
+        "repeated-key"])
+def test_manifest_rejects_misread_lines(old, new, bad_line, error):
+    text = arch._read_manifest_text().replace(old, new)
+    lines = text.splitlines()
+    # the 1-based number of the last line that reads bad_line
+    lineno = len(lines) - lines[::-1].index(bad_line)
+    with pytest.raises(ArchError, match=rf"line {lineno}: {error}"):
+        load_tables(text)
+
+
+@pytest.mark.parametrize("old, new, error", [
+    ("[encoder_params]\nresnet18 = 11689512\nresnet50 = 25557032\n", "",
+     r"missing section \[encoder_params\]"),
+    ("resnet18 = 11689512\n", "",
+     r"\[encoder_channels\] names encoders \['resnet18', 'resnet50'\], "
+     r"\[encoder_params\] \['resnet50'\]"),
+    ("l0 =\n", "", r"\[sharing_levels\] names \['l1', 'l2', 'l3', 'l4'\], "
+                   r"not the levels"),
+], ids=["no-encoder-params", "encoders-differ", "level-not-named"])
+def test_manifest_rejects_missing_entries(old, new, error):
+    text = arch._read_manifest_text()
+    assert old in text
+    with pytest.raises(ArchError, match=error):
+        load_tables(text.replace(old, new))
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda t: param_count(LayerSpec("conv", (("x", 1),), 3, 8, False, "elu"),
+                           0), "in_channels must be >= 1"),
+    (lambda t: load_tables(arch._read_manifest_text().replace(
+        "| 1   | -  | sigmoid", "| 1   | sigmoid")), "malformed layer line"),
+    (lambda t: load_tables("l0 =\n" + arch._read_manifest_text()),
+     "content before first section: 'l0 ='"),
+    (lambda t: arch.branch_param_totals(t, "l4", "resnet34"),
+     "unknown encoder 'resnet34'"),
+    (lambda t: arch.report(t, "l5", "resnet18"),
+     "unknown sharing level 'l5'"),
+], ids=["in-channels", "layer-fields", "content-before-section",
+        "unknown-encoder", "unknown-level"])
+def test_rejects_invalid_layers_and_queries(tables, call, error):
+    with pytest.raises(ArchError, match=error):
+        call(tables)

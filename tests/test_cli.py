@@ -627,3 +627,33 @@ def test_float_labels_out_of_int32_exit_code_2(tmp_path, capsys, bad):
     assert run(argv + ["--out", str(out)]) == 2
     assert "labels must be finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--y", "--yhat"])
+def test_refine_seg_fractional_float_labels_exit_code_2(tmp_path, capsys,
+                                                       flag):
+    argv, y, y_hat, _ = refine_seg_inputs(tmp_path)
+    labels = {"--y": y, "--yhat": y_hat}[flag].astype(np.float32) + 0.5
+    tensorio.save_tensor(Tensor2D(labels), argv[argv.index(flag) + 1])
+    out = tmp_path / "refined.stn"
+    assert run(argv + ["--out", str(out)]) == 2
+    assert "labels must be whole numbers" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_refine_depth_fractional_float_labels_exit_code_2(tmp_path, capsys):
+    prefix = write_scene(tmp_path)
+    cam_file = tmp_path / "cam.txt"
+    cam_file.write_text(CAMERA_TXT)
+    seg = tensorio.load_tensor(str(prefix) + "_seg.stn").data
+    tensorio.save_tensor(Tensor2D(seg.astype(np.float32) + 0.5),
+                         tmp_path / "half.stn")
+    out = tmp_path / "fixed.stn"
+    assert run(["refine-depth",
+                "--depth", str(prefix) + "_depth_corrupt.stn",
+                "--y", str(tmp_path / "half.stn"),
+                "--target", str(prefix) + "_left.stn",
+                "--src", str(prefix) + "_right.stn",
+                "--camera", str(cam_file), "--out", str(out)]) == 2
+    assert "labels must be whole numbers" in capsys.readouterr().err
+    assert not out.exists()

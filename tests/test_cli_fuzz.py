@@ -265,9 +265,6 @@ def test_path_under_a_regular_file(tmp_path, capsys, command, flag):
         ["afile", "out", *(f"in{f}" for f in inputs)])
 
 
-@pytest.mark.xfail(strict=True, raises=ValueError,
-                   reason="no scene size bound: a height numpy cannot "
-                          "allocate escapes main as a ValueError")
 def test_synth_with_a_height_of_1e30(tmp_path, capsys):
     (tmp_path / "in--config").write_text(
         _config_text({**CONFIG, "height": "1e30"}))

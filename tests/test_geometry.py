@@ -581,3 +581,21 @@ def test_flip_postprocess_rejects_misshaped_maps(d, d_flipped, error):
 def test_downsample_rejects_odd_sizes(shape):
     with pytest.raises(GeometryError, match="even"):
         geometry.downsample2x_area(np.ones(shape))
+
+
+def _write(path, text):
+    path.write_text(text)
+    return path
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda tmp: Pose(np.eye(2), np.zeros(3)), "rotation must be 3x3"),
+    (lambda tmp: DepthParams(0.0, 1.0), "c1 and c2 must be positive"),
+    (lambda tmp: DepthParams(1.0, -1.0), "c1 and c2 must be positive"),
+    (lambda tmp: geometry.load_camera_pose(_write(
+        tmp / "cam.txt", "10 10 4.5 2.5  1 0 0 0  0 1 0 0  0 0 1")),
+     "expected 16 numbers, got 15"),
+], ids=["rotation-2x2", "c1-zero", "c2-negative", "camera-15-numbers"])
+def test_rejects_invalid_parameters(tmp_path, call, error):
+    with pytest.raises(GeometryError, match=error):
+        call(tmp_path)

@@ -762,3 +762,18 @@ def test_multiscale_photometric_rejects_a_misshaped_scale(scale):
 def test_hint_loss_rejects_depth_that_is_not_2d(fn, shape):
     with pytest.raises(LossError, match="2-D"):
         fn(np.ones(shape), np.ones(shape))
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: LossWeights(lam_h=-1.0), "lam_h must be >= 0"),
+    (lambda: LossWeights(gamma=1.5), r"gamma must lie in \[0, 1\]"),
+    (lambda: LossWeights(gamma=-0.1), r"gamma must lie in \[0, 1\]"),
+    (lambda: losses.total_depth_loss(np.nan, 0.0, 0.0, 0.0),
+     "non-finite loss component"),
+    (lambda: losses.total_seg_loss(np.inf, 0.0), "non-finite loss component"),
+    (lambda: losses.total_loss(0.0, np.nan), "non-finite loss component"),
+], ids=["negative-weight", "gamma-above-1", "gamma-below-0",
+        "total-depth-nan", "total-seg-inf", "total-nan"])
+def test_rejects_invalid_weights_and_totals(call, error):
+    with pytest.raises(LossError, match=error):
+        call()

@@ -699,3 +699,30 @@ def test_seg_pass_without_a_confident_pixel_changes_nothing():
     for impl in ("parallel", "reference"):
         out = refine_segmentation_with_depth(y, y_hat, depth, impl=impl)
         assert np.array_equal(out, y)
+
+
+@pytest.mark.parametrize("depth", [np.full((4, 6), -1.0),
+                                   np.full((4, 6), np.nan),
+                                   np.full((4, 6, 1), 3.0)],
+                         ids=["negative", "nan", "3-d"])
+def test_refine_depth_full_rejects_bad_depth_on_entry(depth):
+    img = np.random.default_rng(3).random((4, 6))
+    with pytest.raises(RefineError, match="depth must be"):
+        refine_depth_full(depth, np.zeros((4, 6), int), img, img,
+                          geometry.Pose.identity(),
+                          geometry.Camera(10, 10, 2.5, 1.5),
+                          synth.intensity_segmenter(64))
+
+
+@pytest.mark.parametrize("run_pass", [
+    lambda impl: refine_segmentation_with_depth(
+        np.zeros((2, 3), int), np.zeros((2, 3), int), np.ones((2, 3)),
+        impl=impl),
+    lambda impl: refine_depth_with_segmentation(
+        np.ones((2, 3)), [RefineState(confident=np.ones((2, 3), bool),
+                                      unreliable=np.zeros((2, 3), bool))],
+        impl=impl),
+], ids=["seg-pass", "depth-pass"])
+def test_passes_reject_an_unknown_impl(run_pass):
+    with pytest.raises(RefineError, match="unknown impl 'fast'"):
+        run_pass("fast")

@@ -614,3 +614,44 @@ def test_scene_rejects_disparities_beyond_2_53(field, value):
     # finite, but the texture pass could not cast such columns to int64
     with pytest.raises(SynthError, match=r"below 2\*\*53"):
         make_scene(**{field: value})
+
+
+@pytest.mark.parametrize("side", ["height", "width"])
+def test_scene_bounds_each_side(side):
+    assert getattr(make_scene(**{side: synth.MAX_SCENE_SIDE}),
+                   side) == 2 ** 15
+    with pytest.raises(SynthError, match="image sides must be at most 32768"):
+        make_scene(**{side: synth.MAX_SCENE_SIDE + 1})
+
+
+@pytest.mark.parametrize("line, error", [
+    ("height=8", "repeated key 'height'"),
+    ("object=rect,0,0,4,4", "malformed object"),
+], ids=["repeated-key", "object-fields"])
+def test_parse_scene_config_rejects_misread_lines(tmp_path, line, error):
+    path = tmp_path / "scene.cfg"
+    path.write_text("height=4\nwidth=4\nfx=1\nfy=1\ncx=1\ncy=1\n"
+                    "baseline=1\nbackground_depth=5\n" + line + "\n")
+    with pytest.raises(SynthError, match=f"scene.cfg:9: {error}"):
+        parse_scene_config(path)
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: CorruptionSpec(bleed_width=-1), "bleed_width must be >= 0"),
+    (lambda: CorruptionSpec(seg_flip_rate=1.5),
+     r"seg_flip_rate must lie in \[0, 1\]"),
+    (lambda: CorruptionSpec(seg_flip_rate=-0.1),
+     r"seg_flip_rate must lie in \[0, 1\]"),
+], ids=["negative-bleed", "flip-above-1", "flip-below-0"])
+def test_corruption_rejects_invalid_settings(call, error):
+    with pytest.raises(SynthError, match=error):
+        call()
+
+
+def test_parse_scene_config_names_a_missing_key(tmp_path):
+    path = tmp_path / "scene.cfg"
+    path.write_text("height=4\nwidth=4\nfx=1\nfy=1\ncx=1\ncy=1\n"
+                    "baseline=1\n")
+    with pytest.raises(SynthError, match="scene.cfg: missing key "
+                                         "background_depth"):
+        parse_scene_config(path)

@@ -136,3 +136,33 @@ def test_tensor_rejects_1d_and_4d_arrays(shape):
 def test_to_float_rejects_i32():
     with pytest.raises(TensorError, match="u8 or f32"):
         tensorio.to_float(Tensor2D(np.zeros((2, 2), np.int32)))
+
+
+@pytest.mark.parametrize("header, error", [
+    (b"STN1 f64 2 2 1\n", "unsupported dtype 'f64'"),
+    (b"STN1 f32 2 2.5 1\n", "malformed header: invalid literal"),
+], ids=["dtype", "shape"])
+def test_load_rejects_bad_header_fields(tmp_path, header, error):
+    path = tmp_path / "t.stn"
+    path.write_bytes(header + bytes(16))
+    with pytest.raises(TensorError, match=error):
+        tensorio.load_tensor(path)
+
+
+@pytest.mark.parametrize("arr, error", [
+    (np.zeros((2, 2), np.float32), "PGM/PPM export requires u8 data"),
+    (np.zeros((2, 2, 2), np.uint8), "PGM/PPM supports 1 or 3 channels, got 2"),
+    (np.zeros((2, 2, 4), np.uint8), "PGM/PPM supports 1 or 3 channels, got 4"),
+], ids=["f32", "2-channels", "4-channels"])
+def test_pgm_ppm_export_rejects_unsupported_data(tmp_path, arr, error):
+    path = tmp_path / "x.pgm"
+    with pytest.raises(TensorError, match=error):
+        tensorio.write_pgm_ppm(Tensor2D(arr), path)
+    assert not path.exists()
+
+
+def test_read_pgm_ppm_rejects_other_files(tmp_path):
+    path = tmp_path / "x.pgm"
+    path.write_bytes(b"STN1 u8 1 1 1\n\x00")
+    with pytest.raises(TensorError, match="not a PGM/PPM file"):
+        tensorio.read_pgm_ppm(path)
