@@ -12,19 +12,22 @@ makes no pixel grid, point cloud or matrix product. It skips every term
 whose coefficient is exactly 0, multiplies by no coefficient of exactly 1
 and adds no zero translation, none of which rounds: a rectified stereo pose
 costs one product per coordinate. u and v are written in place into two
-contiguous planes. ``bilinear_sample`` gathers the four neighbors of each
-sample through one flat index into the source. It reads those planes
-without a stride, weights one channel without a channel axis, and sums the
-four weighted gathers in place, in the order of the formula, through one
-scratch buffer. Its positions lose their float floors in place, and only
-then are the floors cast to indices. ``upsample_bilinear`` to the input's
-own shape is a float32 cast, since every weight is exactly 1 or 0.
-Otherwise it is row-factored: it applies the column weights at the input's
-rows, then gathers whole output rows of those products, weights them by
-row and sums the four terms in place. It never builds a coordinate field,
-and each pixel still gets the general sampler's arithmetic, (s*gu)*gv
-summed in the formula's order, since a gather moves values and does no
-arithmetic. ``disparity_to_depth`` converts in one buffer.
+contiguous planes. One private sampler serves ``bilinear_sample`` and
+``warp``: it gathers the four neighbors of each sample through one flat
+index into the source, weights one channel without a channel axis, and
+sums the four weighted gathers in place, in the order of the formula,
+through one scratch buffer. Its positions lose their float floors in place,
+and only then are the floors cast to indices. ``bilinear_sample`` hands it
+masked copies of the caller's positions; ``warp`` hands it ``project``'s
+planes themselves, which are already inside the source where valid and 0
+elsewhere, and zeroes the invalid outputs once. ``upsample_bilinear`` to
+the input's own shape is a float32 cast, since every weight is exactly 1
+or 0. Otherwise it is row-factored: it applies the column weights at the
+input's rows, then gathers whole output rows of those products, weights
+them by row and sums the four terms in place. It never builds a
+coordinate field, and each pixel still gets the general sampler's
+arithmetic, (s*gu)*gv summed in the formula's order, since a gather moves
+values and does no arithmetic. ``disparity_to_depth`` converts in one buffer.
 
 The module also holds private helpers the other modules share: the
 8-neighborhood offsets, as flat steps into a padded array for the
@@ -306,15 +309,29 @@ def bilinear_sample(src: np.ndarray,
     valid &= np.less_equal(u, w - 1, out=inside)
     valid &= np.greater_equal(v, 0, out=inside)
     valid &= np.less_equal(v, h - 1, out=inside)
-    # an invalid sample reads pixel (0, 0); the positions then become
-    # their fractional parts in place, less their float floors (the same
-    # as less the integer indices, which convert exactly)
-    fu = np.where(valid, u, 0.0)
-    fv = np.where(valid, v, 0.0)
-    u0 = np.floor(fu)
-    v0 = np.floor(fv)
-    fu -= u0
-    fv -= v0
+    # an invalid sample reads pixel (0, 0)
+    out = _sample(src, np.where(valid, u, 0.0), np.where(valid, v, 0.0))
+    invalid = np.logical_not(valid, out=inside)
+    np.copyto(out, 0.0, where=invalid if c == 1 else invalid[..., None])
+    if c == 1 and not squeeze:
+        out = out[..., None]
+    return out, valid
+
+
+def _sample(src: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Bilinear samples of a float64 (H, W, C) ``src`` at the positions
+    ``u`` (columns) and ``v`` (rows), two float64 arrays of one shape whose
+    values all lie inside the image, as a float32 array of that shape, with
+    a trailing channel axis only when C > 1. ``u`` and ``v`` are
+    overwritten."""
+    h, w, c = src.shape
+    # the positions become their fractional parts in place, less their
+    # float floors (the same as less the integer indices, which convert
+    # exactly)
+    u0 = np.floor(u)
+    v0 = np.floor(v)
+    fu = np.subtract(u, u0, out=u)
+    fv = np.subtract(v, v0, out=v)
     u0 = u0.astype(np.intp)
     v0 = v0.astype(np.intp)
     # one flat index per sample; the +1 neighbors stay on the last column
@@ -353,12 +370,7 @@ def bilinear_sample(src: np.ndarray,
     flat.take(index, axis=0, out=s, mode="clip")
     s *= fu
     s *= fv
-    out = np.add(out, s, out=np.empty(out.shape, np.float32))
-    invalid = np.logical_not(valid, out=inside)
-    np.copyto(out, 0.0, where=invalid if c == 1 else invalid[..., None])
-    if c == 1 and not squeeze:
-        out = out[..., None]
-    return out, valid
+    return np.add(out, s, out=np.empty(out.shape, np.float32))
 
 
 def warp(src_img: np.ndarray, target_depth: np.ndarray, pose: Pose,
@@ -369,8 +381,12 @@ def warp(src_img: np.ndarray, target_depth: np.ndarray, pose: Pose,
     if np.shape(src_img)[:2] != coords.shape[:2]:
         raise GeometryError(f"source image is {np.shape(src_img)[:2]}, not "
                             f"the depth's {coords.shape[:2]}")
-    out, sample_valid = bilinear_sample(src_img, coords)
-    valid &= sample_valid
+    src, squeeze = _as_image(src_img, GeometryError, "source")
+    # project's positions are inside the source where valid and 0
+    # elsewhere, so the sampler consumes them as they are
+    out = _sample(src, coords[..., 0], coords[..., 1])
+    if not squeeze and src.shape[2] == 1:
+        out = out[..., None]
     invalid = ~valid
     np.copyto(out, 0.0, where=invalid if out.ndim == 2 else invalid[..., None])
     return out, valid

@@ -18,18 +18,26 @@ Cost model. An SSIM box sum, ``geometry._window3`` with ``np.add``, is
 O(HW) direct adds: a zero-padded 3-tap sum down the rows, then along the
 columns as one flat (H*W, C) array, each tap a contiguous in-place pass,
 then the first and last columns again, whose taps wrapped onto a
-neighboring row. The window pixel counts come in closed form. The SSIM
-terms form ``mu_a**2``, ``mu_b**2`` and ``mu_a*mu_b`` once each and share
-them, square and multiply the images into one product buffer, and turn the
-moments into variances and the covariance in place.
-The gradient forms ``d1*d2`` once and writes each partial derivative over a
-term it no longer reads. The photometric loss builds its per-pixel terms in
-place and averages the valid pixels through ``compress``. The multi-scale
-loss converts the source image to float64 once for its four warps and
-holds no scale's depth or warp into the next. Cross-entropy with integer
-labels reads and writes only each pixel's labelled probability, one flat
-gather of H*W entries, not an (H, W, K) one-hot map; its sum-to-one check
-is one ``einsum`` over the class axis.
+neighboring row. The window pixel counts come in closed form and are held
+as uint8, since dividing by them gives the bits of dividing by their
+float64 values. The target image's window mean and variance are one unit
+of work, which the SSIM terms take as given or compute. The terms form
+``mu_b**2`` and ``mu_a*mu_b`` once each and share them, multiply the
+images into one product buffer, turn the moments into variances and the
+covariance in place, and write ``d1`` and ``d2`` over the warped image's
+terms. ``mu_a**2`` is formed again for ``d1`` rather than held, which keeps
+the multi-scale loss's peak memory down. A mean over a single channel is
+that channel's view. The gradient forms ``d1*d2`` once and writes each
+partial derivative over a term it no longer reads. The photometric loss
+builds its per-pixel terms in place and averages the valid pixels through
+a boolean index. The multi-scale loss checks and converts both images once
+and computes the target's window terms once for its four scales; each
+scale runs the public upsample, depth conversion and warp, then the
+private photometric kernel. It holds no scale's depth or warp into the
+next. The hint loss with no mask averages every pixel, with no all-true
+mask. Cross-entropy with integer labels reads and writes only each pixel's
+labelled probability, one flat gather of H*W entries, not an (H, W, K)
+one-hot map; its sum-to-one check is one ``einsum`` over the class axis.
 """
 
 from __future__ import annotations
@@ -119,73 +127,98 @@ def _window_counts(n: int) -> np.ndarray:
     return np.minimum(i + r, n - 1) - np.maximum(i - r, 0) + 1
 
 
-def _ssim_terms(a, b):
-    """The window pixel counts, the means and SSIM's numerator and
-    denominator factors: SSIM = (n1 * n2) / (d1 * d2)."""
-    # pixels inside the image under each window, (H, W, 1)
+def _target_terms(a: np.ndarray):
+    """The target's SSIM window terms: the window pixel counts, as a uint8
+    (H, W, 1) array (at most 9, and dividing by them gives the bits of
+    dividing by their float64 values), the window mean and the window
+    variance E[a^2] - mu_a^2."""
     h, w, _ = a.shape
     count = (_window_counts(h)[:, None]
-             * _window_counts(w)).astype(np.float64)[:, :, None]
+             * _window_counts(w)).astype(np.uint8)[:, :, None]
+    mu_a = _box_sum(a)
+    mu_a /= count
+    var_a = _box_sum(np.square(a))
+    var_a /= count
+    var_a -= np.square(mu_a)
+    return count, mu_a, var_a
+
+
+def _ssim_terms(a, b, target=None):
+    """The window pixel counts, the means and SSIM's numerator and
+    denominator factors: SSIM = (n1 * n2) / (d1 * d2). ``target`` is
+    ``_target_terms(a)``, computed here when not given; it is only read."""
+    count, mu_a, var_a = _target_terms(a) if target is None else target
 
     def window_mean(x):
         mean = _box_sum(x)
         mean /= count
         return mean
 
-    mu_a = window_mean(a)
     mu_b = window_mean(b)
-    # the second moments, one product buffer for all three
-    prod = np.multiply(a, a)
-    var_a = window_mean(prod)
-    var_b = window_mean(np.multiply(b, b, out=prod))
+    # the second moments, one product buffer for both
+    prod = np.multiply(b, b)
+    var_b = window_mean(prod)
     cov = window_mean(np.multiply(a, b, out=prod))
     del prod
     # 2 * mu_a * mu_b below is 2 * (mu_a * mu_b): doubling is exact, so
     # it does not matter which product it follows
     n1 = mu_a * mu_b
-    d1 = np.square(mu_a)
-    mu_b2 = np.square(mu_b)
-    var_a -= d1
-    var_b -= mu_b2
     cov -= n1
     n1 *= 2
     n1 += SSIM_C1
     n2 = cov
     n2 *= 2
     n2 += SSIM_C2
-    d1 += mu_b2
+    # d1 and d2 in the buffers of mu_b^2 and var_b; addition commutes
+    d1 = np.square(mu_b)
+    var_b -= d1
+    d1 += np.square(mu_a)
     d1 += SSIM_C1
-    del mu_b2
-    d2 = var_a
-    d2 += var_b
+    d2 = np.add(var_a, var_b, out=var_b)
     d2 += SSIM_C2
     return count, mu_a, mu_b, n1, n2, d1, d2
+
+
+def _channel_mean(x: np.ndarray) -> np.ndarray:
+    """The mean over the channels of an (H, W, C) array; the mean of one
+    channel is that channel, bit for bit, and is returned as a view."""
+    return x[:, :, 0] if x.shape[2] == 1 else x.mean(axis=2)
+
+
+def _ssim(a, b, target=None) -> np.ndarray:
+    """Per-pixel, per-channel SSIM, (H, W, C)."""
+    *_, n1, n2, d1, d2 = _ssim_terms(a, b, target)
+    ssim = np.multiply(n1, n2, out=n1)
+    ssim /= np.multiply(d1, d2, out=d1)
+    return ssim
 
 
 def ssim_map(a, b) -> np.ndarray:
     """Per-pixel structural similarity, averaged over channels."""
     a, b = _pair(a, b)
-    *_, n1, n2, d1, d2 = _ssim_terms(a, b)
-    ssim = n1 * n2
-    ssim /= d1 * d2
-    return ssim.mean(axis=2)
+    return _channel_mean(_ssim(a, b))
+
+
+def _photometric(a, b, mask, w: LossWeights, target=None) -> float:
+    """``photometric_loss`` of checked float64 (H, W, C) images and a
+    checked mask; ``target`` as for ``_ssim_terms``."""
+    # each term built in place; the boolean index selects the pixels of
+    # mask, in raster order
+    per_pixel = _channel_mean(_ssim(a, b, target))
+    np.subtract(1.0, per_pixel, out=per_pixel)
+    per_pixel *= w.gamma / 2.0
+    l1 = np.subtract(a, b)
+    l1 = _channel_mean(np.abs(l1, out=l1))
+    l1 *= 1.0 - w.gamma
+    per_pixel += l1
+    return float(per_pixel[mask].mean())
 
 
 def photometric_loss(img_t, img_st, mask=None,
                      w: LossWeights = LossWeights()) -> float:
     """gamma/2 * (1 - SSIM) + (1 - gamma) * L1, averaged over valid pixels."""
     a, b = _pair(img_t, img_st)
-    mask = _valid_mask(mask, a.shape[:2])
-    # each term built in place; compress selects the pixels of mask, in
-    # raster order
-    per_pixel = ssim_map(a, b)
-    np.subtract(1.0, per_pixel, out=per_pixel)
-    per_pixel *= w.gamma / 2.0
-    l1 = np.subtract(a, b)
-    l1 = np.abs(l1, out=l1).mean(axis=2)
-    l1 *= 1.0 - w.gamma
-    per_pixel += l1
-    return float(per_pixel.ravel().compress(mask.ravel()).mean())
+    return _photometric(a, b, _valid_mask(mask, a.shape[:2]), w)
 
 
 def photometric_loss_grad(img_t, img_st, mask=None,
@@ -193,7 +226,7 @@ def photometric_loss_grad(img_t, img_st, mask=None,
     """Analytic gradient of photometric_loss w.r.t. the warped image."""
     a, b = _pair(img_t, img_st)
     mask = _valid_mask(mask, a.shape[:2])
-    n_valid = int(mask.sum())
+    n_valid = np.count_nonzero(mask)
     channels = a.shape[2]
     # upstream gradient into the per-pixel, per-channel SSIM values,
     # (H, W, 1) for every channel
@@ -260,22 +293,28 @@ def _hint_inputs(pred_depth, target_depth, mask):
     geometry._same_shape(LossError, pred_depth, target_depth)
     pred = geometry._as_depth(pred_depth, LossError)
     target = geometry._as_depth(target_depth, LossError)
-    return pred, target, _valid_mask(mask, pred.shape)
+    if mask is not None:
+        mask = _valid_mask(mask, pred.shape)
+    return pred, target, mask
 
 
 def hint_loss(pred_depth, target_depth, mask=None) -> float:
     """Mean log(1 + |residual|) against an externally supplied or refined
     depth target."""
     pred, target, mask = _hint_inputs(pred_depth, target_depth, mask)
-    return float(np.log1p(np.abs(pred - target))[mask].mean())
+    # in C order, so that with no mask the mean sums the pixels in raster
+    # order, as the boolean index of a mask lists them
+    per_pixel = np.log1p(np.abs(np.subtract(pred, target, order="C")))
+    return float((per_pixel if mask is None else per_pixel[mask]).mean())
 
 
 def hint_loss_grad(pred_depth, target_depth, mask=None) -> np.ndarray:
     """Analytic gradient of hint_loss w.r.t. the predicted depth."""
     pred, target, mask = _hint_inputs(pred_depth, target_depth, mask)
     resid = pred - target
-    grad = np.sign(resid) / (1.0 + np.abs(resid)) / mask.sum()
-    return np.where(mask, grad, 0.0)
+    n = resid.size if mask is None else np.count_nonzero(mask)
+    grad = np.sign(resid) / (1.0 + np.abs(resid)) / n
+    return grad if mask is None else np.where(mask, grad, 0.0)
 
 
 def _smoothness_terms(disp, img):
@@ -293,8 +332,8 @@ def _smoothness_terms(disp, img):
     norm = disp / mean
     gx = norm[:, 1:] - norm[:, :-1]
     gy = norm[1:, :] - norm[:-1, :]
-    ix = np.abs(img[:, 1:] - img[:, :-1]).mean(axis=2)
-    iy = np.abs(img[1:, :] - img[:-1, :]).mean(axis=2)
+    ix = _channel_mean(np.abs(img[:, 1:] - img[:, :-1]))
+    iy = _channel_mean(np.abs(img[1:, :] - img[:-1, :]))
     return disp, mean, norm, gx, gy, np.exp(-ix), np.exp(-iy)
 
 
@@ -423,8 +462,12 @@ def multiscale_photometric(disparities, img_t, img_s, pose, cam,
     if h < 8 or w_img < 8:
         raise LossError("images must be at least 8x8, so that the 1/8 "
                         f"scale holds a pixel; got {h}x{w_img}")
-    # converted once for the four warps; each warp still checks it
-    img_s = np.asarray(img_s, dtype=np.float64)
+    # each image checked and converted once for the four scales, and the
+    # target's window terms computed once; each warp still checks its
+    # source, and its float32 output is finite where the source is
+    img_s, _ = geometry._as_image(img_s, LossError, "images")
+    geometry._same_shape(LossError, img_t, img_s)
+    target = _target_terms(img_t)
     losses = []
     for scale, disp in enumerate(disparities):
         disp = np.asarray(disp, dtype=np.float64)
@@ -436,7 +479,9 @@ def multiscale_photometric(disparities, img_t, img_s, pose, cam,
             geometry.upsample_bilinear(disp, (h, w_img)), depth_params)
         warped, valid = geometry.warp(img_s, depth, pose, cam)
         del depth
-        losses.append(photometric_loss(img_t, warped, valid, w))
+        warped = warped.astype(np.float64)
+        losses.append(_photometric(img_t, warped,
+                                   _valid_mask(valid, (h, w_img)), w, target))
         del warped, valid
     return float(np.mean(losses))
 

@@ -671,6 +671,51 @@ def test_multiscale_photometric_matches_expression_form_end_to_end():
     assert got == float(np.mean(want))
 
 
+@pytest.mark.parametrize("channels", [None, 3])
+@pytest.mark.parametrize("gamma", [0.0, 0.85])
+def test_multiscale_photometric_is_the_mean_of_public_losses_bytewise(
+        channels, gamma):
+    # the target's SSIM terms are computed once for the four scales; the
+    # public per-scale loss, which computes them each time, gives the
+    # same bytes
+    h, w = 32, 96
+    cam, left, right, pyramid = loss_step_inputs(h, w)
+    if channels is not None:
+        rng = np.random.default_rng(32)
+        left, right = (np.stack([img, img[::-1], img[:, ::-1]], axis=-1)
+                       * rng.uniform(0.5, 1.0, 3) for img in (left, right))
+    pose = geometry.Pose.stereo_baseline(0.54)
+    weights = LossWeights(gamma=gamma)
+    want = []
+    for disp in pyramid:
+        depth = geometry.disparity_to_depth(
+            geometry.upsample_bilinear(disp, (h, w)), DEPTH_PARAMS)
+        want.append(photometric_loss(
+            left, *geometry.warp(right, depth, pose, cam), weights))
+    got = multiscale_photometric(pyramid, left, right, pose, cam,
+                                 DEPTH_PARAMS, weights)
+    assert (np.float64(got).tobytes()
+            == np.float64(np.mean(want)).tobytes())
+
+
+@pytest.mark.parametrize("layout", ["c", "fortran"])
+def test_hint_loss_and_grad_without_a_mask_equal_an_all_true_mask(layout):
+    # no mask averages every pixel in raster order, as an all-true mask
+    # selects them, whatever the memory layout of the inputs
+    rng = np.random.default_rng(33)
+    for h, w in ((1, 1), (3, 7), (17, 130), (64, 65)):
+        pred = rng.uniform(0.5, 30.0, (h, w))
+        target = rng.uniform(0.5, 30.0, (h, w))
+        target[::3] = pred[::3]
+        if layout == "fortran":
+            pred, target = np.asfortranarray(pred), np.asfortranarray(target)
+        every = np.ones((h, w), dtype=bool)
+        assert (np.float64(hint_loss(pred, target)).tobytes()
+                == np.float64(hint_loss(pred, target, every)).tobytes())
+        assert (hint_loss_grad(pred, target).tobytes()
+                == hint_loss_grad(pred, target, every).tobytes())
+
+
 def test_upsample_and_multiscale_photometric_peak_memory():
     # in units of H*W*8 bytes at 192x640. The parent's upsample from the
     # 1x, 1/2, 1/4 and 1/8 scales peaked at 5.10, 4.35, 3.66 and 3.37, and
@@ -755,6 +800,21 @@ def test_multiscale_photometric_rejects_a_misshaped_scale(scale):
                             disps[scale].shape[1]), 0.5)
     with pytest.raises(LossError, match=f"scale {scale}: expected shape"):
         multiscale_photometric(disps, *rest)
+
+
+@pytest.mark.parametrize("bad, error", [
+    (np.nan, "finite"), (np.inf, "finite"), ("rgb", "shape mismatch"),
+    ("wide", "shape mismatch")])
+def test_multiscale_photometric_checks_the_source_image_itself(bad, error):
+    disps, img_t, img_s, *rest = _multiscale_inputs()
+    if bad == "rgb":
+        img_s = np.repeat(img_s[:, :, None], 3, axis=2)
+    elif bad == "wide":
+        img_s = np.hstack([img_s, img_s])
+    else:
+        img_s[3, 5] = bad
+    with pytest.raises(LossError, match=error):
+        multiscale_photometric(disps, img_t, img_s, *rest)
 
 
 @pytest.mark.parametrize("fn", [hint_loss, hint_loss_grad])
