@@ -58,12 +58,8 @@ def _plane(t: tensorio.Tensor2D, dtype=np.float64) -> np.ndarray:
     if t.channels != 1:
         raise tensorio.TensorError("expected a single-channel tensor")
     plane = t.data[:, :, 0]
-    if dtype is np.int32 and t.dtype_name == "f32":
-        if not (-2.0 ** 31 <= plane.min() and plane.max() < 2.0 ** 31):
-            raise tensorio.TensorError("labels must be finite and fit in "
-                                       "int32")
-        if not np.array_equal(plane, np.trunc(plane)):
-            raise tensorio.TensorError("labels must be whole numbers")
+    if dtype is np.int32:
+        return geometry._as_labels(plane, tensorio.TensorError)
     return plane.astype(dtype)
 
 

@@ -12,22 +12,26 @@ makes no pixel grid, point cloud or matrix product. It skips every term
 whose coefficient is exactly 0, multiplies by no coefficient of exactly 1
 and adds no zero translation, none of which rounds: a rectified stereo pose
 costs one product per coordinate. u and v are written in place into two
-contiguous planes. One private sampler serves ``bilinear_sample`` and
-``warp``: it gathers the four neighbors of each sample through one flat
-index into the source, weights one channel without a channel axis, and
-sums the four weighted gathers in place, in the order of the formula,
-through one scratch buffer. Its positions lose their float floors in place,
-and only then are the floors cast to indices. ``bilinear_sample`` hands it
+contiguous planes. Every resampler has one edge rule: it pads its float64
+source once with its last row and column repeated, so each +1 neighbor of a
+position inside the image lies in the array and equals the clamped pixel,
+signed zeros included. One private sampler serves ``bilinear_sample`` and
+``warp``: it forms one flat index into the padded source per sample, exact
+in float64 and cast once, and gathers the four neighbors through it at
+offsets 0, 1, W+1 and W+2. It weights one channel without a channel axis,
+and sums the four weighted gathers in place, in the order of the formula,
+through one scratch buffer. Its positions lose their float floors in
+place, and it zeroes the invalid samples once. ``bilinear_sample`` hands it
 masked copies of the caller's positions; ``warp`` hands it ``project``'s
 planes themselves, which are already inside the source where valid and 0
-elsewhere, and zeroes the invalid outputs once. ``upsample_bilinear`` to
-the input's own shape is a float32 cast, since every weight is exactly 1
-or 0. Otherwise it is row-factored: it applies the column weights at the
-input's rows, then gathers whole output rows of those products, weights
-them by row and sums the four terms in place. It never builds a
-coordinate field, and each pixel still gets the general sampler's
-arithmetic, (s*gu)*gv summed in the formula's order, since a gather moves
-values and does no arithmetic. ``disparity_to_depth`` converts in one buffer.
+elsewhere. ``upsample_bilinear`` to the input's own shape is a float32
+cast, since every weight is exactly 1 or 0. Otherwise it is row-factored:
+it applies the column weights at the padded input's rows, then gathers
+whole output rows of those products, weights them by row and sums the four
+terms in place. It never builds a coordinate field, and each pixel still
+gets the general sampler's arithmetic, (s*gu)*gv summed in the formula's
+order, since a gather moves values and does no arithmetic.
+``disparity_to_depth`` converts in one buffer.
 
 The module also holds private helpers the other modules share: the
 8-neighborhood offsets, as flat steps into a padded array for the
@@ -35,8 +39,10 @@ refinement wavefronts; one 3x3 window reduction, the SSIM box sum with
 ``np.add`` and the synthetic depth bleed with ``np.minimum``; and one check
 per array input rule, each raising the caller's error class: the
 non-empty, finite (and optionally positive) map check, the equal-shape
-check, the image check that also makes an (H, W, C) float64 array, and the
-depth-map check that also makes a 2-D float64 map.
+check, the image check that also makes an (H, W, C) float64 array, the
+depth-map check that also makes a 2-D float64 map, and the label check
+that also casts labels to integers, whose float labels must be finite whole
+numbers within int32.
 """
 
 from __future__ import annotations
@@ -107,8 +113,9 @@ class DepthParams:
     c2: float
 
     def __post_init__(self):
-        if not (self.c1 > 0 and self.c2 > 0):
-            raise GeometryError("c1 and c2 must be positive")
+        # a NaN fails both comparisons, so it is rejected too
+        if not (0 < self.c1 < math.inf and 0 < self.c2 < math.inf):
+            raise GeometryError("c1 and c2 must be positive and finite")
 
 
 def disparity_to_depth(sigma: np.ndarray, params: DepthParams) -> np.ndarray:
@@ -177,6 +184,20 @@ def _same_shape(error: type[Exception], *arrays):
     shapes = {np.shape(a) for a in arrays}
     if len(shapes) != 1:
         raise error(f"shape mismatch: {sorted(shapes)}")
+
+
+def _as_labels(labels: np.ndarray, error: type[Exception],
+               dtype=np.int32) -> np.ndarray:
+    """A non-empty ``labels`` array cast to ``dtype``, an integer type at
+    least as wide as int32. Float labels must be finite whole numbers that
+    fit in int32, so that the cast changes no value; integer labels are
+    cast unchecked."""
+    if labels.dtype.kind == "f":
+        if not (-2.0 ** 31 <= labels.min() and labels.max() < 2.0 ** 31):
+            raise error("labels must be finite and fit in int32")
+        if not np.array_equal(labels, np.trunc(labels)):
+            raise error("labels must be whole numbers")
+    return labels.astype(dtype)
 
 
 def _as_image(img, error: type[Exception],
@@ -302,6 +323,7 @@ def bilinear_sample(src: np.ndarray,
         return out[0], valid[0]
     src, squeeze = _as_image(src, GeometryError, "source")
     h, w, c = src.shape
+    src = _padded(src)
     u = coords[..., 0]
     v = coords[..., 1]
     valid = u >= 0
@@ -310,20 +332,25 @@ def bilinear_sample(src: np.ndarray,
     valid &= np.greater_equal(v, 0, out=inside)
     valid &= np.less_equal(v, h - 1, out=inside)
     # an invalid sample reads pixel (0, 0)
-    out = _sample(src, np.where(valid, u, 0.0), np.where(valid, v, 0.0))
-    invalid = np.logical_not(valid, out=inside)
-    np.copyto(out, 0.0, where=invalid if c == 1 else invalid[..., None])
-    if c == 1 and not squeeze:
-        out = out[..., None]
-    return out, valid
+    out = _sample(src, np.where(valid, u, 0.0), np.where(valid, v, 0.0),
+                  valid)
+    return (out[..., 0] if squeeze else out), valid
 
 
-def _sample(src: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Bilinear samples of a float64 (H, W, C) ``src`` at the positions
-    ``u`` (columns) and ``v`` (rows), two float64 arrays of one shape whose
-    values all lie inside the image, as a float32 array of that shape, with
-    a trailing channel axis only when C > 1. ``u`` and ``v`` are
-    overwritten."""
+def _padded(img: np.ndarray) -> np.ndarray:
+    """A float64 (H, W, C) image with its last row and column repeated, so
+    that the +1 neighbors of every position inside the image lie in the
+    array and equal the clamped pixel, signed zeros included."""
+    return np.pad(img, ((0, 1), (0, 1), (0, 0)), mode="edge")
+
+
+def _sample(src: np.ndarray, u: np.ndarray, v: np.ndarray,
+            valid: np.ndarray) -> np.ndarray:
+    """Bilinear samples of a ``_padded`` float64 (H+1, W+1, C) ``src`` at
+    the positions ``u`` (columns) and ``v`` (rows), two float64 arrays of
+    one shape whose values all lie inside the unpadded image, as a float32
+    array of that shape and a trailing axis of C, and 0 where ``valid`` is
+    False. ``u`` and ``v`` are overwritten."""
     h, w, c = src.shape
     # the positions become their fractional parts in place, less their
     # float floors (the same as less the integer indices, which convert
@@ -332,16 +359,10 @@ def _sample(src: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     v0 = np.floor(v)
     fu = np.subtract(u, u0, out=u)
     fv = np.subtract(v, v0, out=v)
-    u0 = u0.astype(np.intp)
-    v0 = v0.astype(np.intp)
-    # one flat index per sample; the +1 neighbors stay on the last column
-    # and row
-    du = u0 < w - 1
-    dv = v0 < h - 1
-    index = v0
-    index *= w
-    index += u0
-    del u0
+    # one flat index per sample, exact in float64 and cast once; its +1
+    # neighbors are the next entry and the next row of the padded source
+    index = (v0 * w + u0).astype(np.intp)
+    del u0, v0
     gu = 1 - fu
     gv = 1 - fv
     flat = src.reshape(h * w, c)
@@ -357,20 +378,20 @@ def _sample(src: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     out = flat.take(index, axis=0)
     out *= gu
     out *= gv
-    s = flat.take(index + du, axis=0)
+    s = flat[1:].take(index, axis=0)
     s *= fu
     s *= gv
     out += s
-    np.add(index, w, out=index, where=dv)
-    flat.take(index, axis=0, out=s, mode="clip")
+    flat[w:].take(index, axis=0, out=s, mode="clip")
     s *= gu
     s *= fv
     out += s
-    index += du
-    flat.take(index, axis=0, out=s, mode="clip")
+    flat[w + 1:].take(index, axis=0, out=s, mode="clip")
     s *= fu
     s *= fv
-    return np.add(out, s, out=np.empty(out.shape, np.float32))
+    out = np.add(out, s, out=np.empty(out.shape, np.float32))
+    np.copyto(out, 0.0, where=~valid if c == 1 else ~valid[..., None])
+    return out[..., None] if c == 1 else out
 
 
 def warp(src_img: np.ndarray, target_depth: np.ndarray, pose: Pose,
@@ -382,14 +403,11 @@ def warp(src_img: np.ndarray, target_depth: np.ndarray, pose: Pose,
         raise GeometryError(f"source image is {np.shape(src_img)[:2]}, not "
                             f"the depth's {coords.shape[:2]}")
     src, squeeze = _as_image(src_img, GeometryError, "source")
+    src = _padded(src)
     # project's positions are inside the source where valid and 0
     # elsewhere, so the sampler consumes them as they are
-    out = _sample(src, coords[..., 0], coords[..., 1])
-    if not squeeze and src.shape[2] == 1:
-        out = out[..., None]
-    invalid = ~valid
-    np.copyto(out, 0.0, where=invalid if out.ndim == 2 else invalid[..., None])
-    return out, valid
+    out = _sample(src, coords[..., 0], coords[..., 1], valid)
+    return (out[..., 0] if squeeze else out), valid
 
 
 def flip_postprocess(d: np.ndarray, d_flipped: np.ndarray) -> np.ndarray:
@@ -447,30 +465,31 @@ def upsample_bilinear(img: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     u = (np.linspace(0, w_in - 1, w_out) if w_out > 1 else np.zeros(1))
     u0 = np.floor(u).astype(np.intp)
     v0 = np.floor(v).astype(np.intp)
-    u1 = np.minimum(u0 + 1, w_in - 1)
-    v1 = np.minimum(v0 + 1, h_in - 1)
     fu = (u - u0)[None, :, None]
     fv = (v - v0)[:, None, None]
     gv = 1 - fv
     # the general sampler's formula s00*gu*gv + s01*fu*gv + s10*gu*fv +
     # s11*fu*fv: the column weights applied at the input's rows, then
     # whole rows gathered (which moves values and does no arithmetic),
-    # weighted and summed left to right. The indices are in range, so clip
-    # mode changes none and lets take write to its out without a buffer
+    # weighted and summed left to right. The +1 neighbors of the last row
+    # and column are the padded input's repeats. The indices are in range,
+    # so clip mode changes none and lets take write to its out without a
+    # buffer
+    img = _padded(img)
     left = img[:, u0]
     left *= 1 - fu
-    right = img[:, u1]
+    right = img[:, u0 + 1]
     right *= fu
     acc = left.take(v0, axis=0)
     acc *= gv
     term = right.take(v0, axis=0)
     term *= gv
     acc += term
-    left.take(v1, axis=0, out=term, mode="clip")
+    left.take(v0 + 1, axis=0, out=term, mode="clip")
     del left
     term *= fv
     acc += term
-    right.take(v1, axis=0, out=term, mode="clip")
+    right.take(v0 + 1, axis=0, out=term, mode="clip")
     del right
     term *= fv
     out = np.add(acc, term, out=np.empty(acc.shape, np.float32))

@@ -385,7 +385,7 @@ def _prepare_cross_entropy(target, probs):
         geometry._same_shape(LossError, target, probs[:, :, 0])
         if not (0 <= target.min() and target.max() < k):
             raise LossError("class ids out of range")
-        index = target.astype(np.intp).ravel()
+        index = geometry._as_labels(target, LossError, np.intp).ravel()
         index += np.arange(0, h * w * k, k)
         return index, probs
     geometry._same_shape(LossError, target, probs)
@@ -462,11 +462,13 @@ def multiscale_photometric(disparities, img_t, img_s, pose, cam,
     if h < 8 or w_img < 8:
         raise LossError("images must be at least 8x8, so that the 1/8 "
                         f"scale holds a pixel; got {h}x{w_img}")
-    # each image checked and converted once for the four scales, and the
-    # target's window terms computed once; each warp still checks its
-    # source, and its float32 output is finite where the source is
-    img_s, _ = geometry._as_image(img_s, LossError, "images")
-    geometry._same_shape(LossError, img_t, img_s)
+    # the target checked and converted once for the four scales, and its
+    # window terms computed once. The source is checked here and handed to
+    # each warp as the caller gave it, so no float64 copy of it is held
+    # beside the warp's padded one; the float32 warp is finite where the
+    # source is
+    geometry._same_shape(
+        LossError, img_t, geometry._as_image(img_s, LossError, "images")[0])
     target = _target_terms(img_t)
     losses = []
     for scale, disp in enumerate(disparities):
@@ -479,7 +481,7 @@ def multiscale_photometric(disparities, img_t, img_s, pose, cam,
             geometry.upsample_bilinear(disp, (h, w_img)), depth_params)
         warped, valid = geometry.warp(img_s, depth, pose, cam)
         del depth
-        warped = warped.astype(np.float64)
+        warped = warped.astype(np.float64).reshape(img_t.shape)
         losses.append(_photometric(img_t, warped,
                                    _valid_mask(valid, (h, w_img)), w, target))
         del warped, valid

@@ -56,9 +56,10 @@ def evaluate_depth(pred, gt, gt_valid=None,
         geometry._check_map(pred, MetricsError, "predictions must be finite")
     if not np.isfinite(cap):
         raise MetricsError("cap must be finite")
-    if gt_valid is None:
-        gt_valid = np.ones(gt.shape, dtype=bool)
-    valid = np.asarray(gt_valid, dtype=bool) & (gt > 0) & (gt <= cap)
+    valid = (gt > 0) & (gt <= cap)
+    if gt_valid is not None:
+        geometry._same_shape(MetricsError, gt, gt_valid)
+        valid &= np.asarray(gt_valid, dtype=bool)
     n = int(valid.sum())
     if n == 0:
         raise MetricsError("no valid ground-truth pixels")

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Camera, _check_map, _same_shape, _window3
+from .geometry import Camera, _as_labels, _check_map, _same_shape, _window3
 
 
 class SynthError(ValueError):
@@ -432,9 +432,10 @@ def corrupt(gt_depth: np.ndarray, gt_seg: np.ndarray,
             cspec: CorruptionSpec):
     """Apply the bleeding-style depth corruption and random label flips."""
     depth = np.asarray(gt_depth, dtype=np.float64).copy()
-    seg = np.asarray(gt_seg, dtype=np.int32).copy()
+    seg = np.asarray(gt_seg)
     _same_shape(SynthError, depth, seg)
     _check_map(depth, SynthError, "depth must be non-empty and finite")
+    seg = _as_labels(seg, SynthError)
     if cspec.bleed_width > 0:
         _bleed(depth, cspec.bleed_width)
     if cspec.seg_flip_rate > 0:

@@ -347,6 +347,76 @@ def test_warp_is_the_public_sampler_on_project_bytewise(pose, channels,
     assert got_valid.tobytes() == valid.tobytes()
 
 
+def signed_values(rng, shape):
+    """Random values of both signs with many -0.0 and +0.0, so that a
+    zero-weight term read from another pixel than the clamped one can
+    change the sign of a zero sum."""
+    return rng.choice(np.array([-0.0, 0.0, -1.5, 2.25, -0.375]), size=shape)
+
+
+EDGE_SHAPES = [(1, 1), (1, 6), (6, 1), (5, 7)]
+
+
+@pytest.mark.parametrize("shape", EDGE_SHAPES)
+@pytest.mark.parametrize("channels", [None, 1, 3])
+def test_bilinear_sample_on_the_last_row_and_column_bytewise(shape,
+                                                             channels):
+    # every lattice position of the last row and column, and fractional
+    # positions along them, against the clamped oracle byte for byte
+    rng = np.random.default_rng(41)
+    h, w = shape
+    src = signed_values(rng, shape if channels is None
+                        else shape + (channels,)).astype(np.float32)
+    frac = np.linspace(0.0, 1.0, 9)
+    points = ([(w - 1, v) for v in range(h)]
+              + [(u, h - 1) for u in range(w)]
+              + [(w - 1, f * (h - 1)) for f in frac]
+              + [(f * (w - 1), h - 1) for f in frac])
+    coords = np.array(points * 4, dtype=np.float64).reshape(4, -1, 2)
+    for got, want in zip(bilinear_sample(src, coords),
+                         oracle_bilinear_sample(src, coords)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("shape", EDGE_SHAPES)
+@pytest.mark.parametrize("channels", [None, 3])
+@pytest.mark.parametrize("shift", [(0, 0), (1, 1), (1, 0.5), (0.5, 1),
+                                   (0, 0.5), (0.5, 0)])
+def test_warp_onto_the_last_row_and_column_bytewise(shape, channels, shift):
+    # with a unit camera and a depth of 2, a translation of 2*shift moves
+    # every sample by exactly shift pixels: whole shifts land on the last
+    # row and column, half shifts run along them
+    rng = np.random.default_rng(42)
+    cam = Camera(1.0, 1.0, 0.0, 0.0)
+    pose = Pose(np.eye(3), np.array([2.0 * shift[0], 2.0 * shift[1], 0.0]))
+    depth = np.full(shape, 2.0)
+    src = signed_values(rng, shape if channels is None
+                        else shape + (channels,))
+    for got, want in zip(warp(src, depth, pose, cam),
+                         oracle_warp(src, depth, pose, cam)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("shape_in", EDGE_SHAPES)
+@pytest.mark.parametrize("channels", [None, 3])
+def test_upsample_bilinear_at_the_last_row_and_column_bytewise(shape_in,
+                                                               channels):
+    # corners aligned, so every output's last row and column samples the
+    # input's exactly
+    rng = np.random.default_rng(43)
+    h, w = shape_in
+    img = signed_values(rng, shape_in if channels is None
+                        else shape_in + (channels,))
+    for shape in [(3 * h, 2 * w + 1), (1, 2 * w + 1), (2 * h + 1, 1),
+                  (h + 2, w), (h, w + 2)]:
+        got = geometry.upsample_bilinear(img, shape)
+        want = oracle_upsample_bilinear(img, shape)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
 def longdouble_project(depth, pose, cam):
     ld = np.longdouble
     h, w = depth.shape
@@ -635,3 +705,12 @@ def _write(path, text):
 def test_rejects_invalid_parameters(tmp_path, call, error):
     with pytest.raises(GeometryError, match=error):
         call(tmp_path)
+
+
+@pytest.mark.parametrize("c1, c2", [(np.inf, 1.0), (1.0, np.inf),
+                                    (np.nan, 1.0), (1.0, np.nan),
+                                    (np.inf, np.inf)])
+def test_depth_params_reject_nonfinite_coefficients(c1, c2):
+    # an infinite c1 would make a disparity of 0 give inf*0 = NaN
+    with pytest.raises(GeometryError, match="c1 and c2 must be positive"):
+        DepthParams(c1, c2)

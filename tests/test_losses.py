@@ -335,6 +335,27 @@ def test_cross_entropy_labels_match_one_hot_target():
 
 
 @pytest.mark.parametrize("fn", [cross_entropy, cross_entropy_grad])
+def test_cross_entropy_and_grad_reject_fractional_labels(fn):
+    probs = np.full((4, 5, 3), 1 / 3)
+    with pytest.raises(LossError, match="labels must be whole numbers"):
+        fn(np.full((4, 5), 1.5), probs)
+    labels = np.ones((4, 5))
+    labels[2, 3] = 0.25
+    with pytest.raises(LossError, match="labels must be whole numbers"):
+        fn(labels, probs)
+
+
+@pytest.mark.parametrize("fn", [cross_entropy, cross_entropy_grad])
+def test_cross_entropy_and_grad_take_whole_float_labels(fn):
+    rng = np.random.default_rng(12)
+    probs = rng.random((4, 5, 3)) + 0.1
+    probs /= probs.sum(axis=2, keepdims=True)
+    labels = rng.integers(0, 3, (4, 5))
+    assert np.array_equal(fn(labels.astype(np.float32), probs),
+                          fn(labels, probs))
+
+
+@pytest.mark.parametrize("fn", [cross_entropy, cross_entropy_grad])
 @pytest.mark.parametrize("target, error", [
     (np.full((2, 2), 3), "out of range"),
     (np.full((2, 2), -1), "out of range"),

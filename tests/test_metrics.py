@@ -127,6 +127,23 @@ def test_evaluate_depth_rejects_a_shape_mismatch(pred, gt):
         evaluate_depth(pred, gt)
 
 
+@pytest.mark.parametrize("mask_shape", [(4,), (3, 1), (2, 4), (1, 4),
+                                        (3, 4, 1)])
+def test_evaluate_depth_rejects_a_mask_of_another_shape(mask_shape):
+    # a mask that numpy would broadcast, or fail to, is not the map's
+    gt = np.full((3, 4), 10.0)
+    with pytest.raises(MetricsError, match="shape mismatch"):
+        evaluate_depth(gt, gt, gt_valid=np.ones(mask_shape, bool))
+
+
+def test_evaluate_depth_without_a_mask_equals_an_all_true_mask():
+    rng = np.random.default_rng(5)
+    gt = rng.uniform(-5.0, 100.0, (6, 7))
+    pred = rng.uniform(0.0, 90.0, (6, 7))
+    assert (evaluate_depth(pred, gt)
+            == evaluate_depth(pred, gt, gt_valid=np.ones((6, 7), bool)))
+
+
 @pytest.mark.parametrize("tracked, gt, error", [
     ([], [], "empty point lists"),
     (np.zeros((0, 2)), np.zeros((0, 2)), "empty point lists"),

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -221,6 +222,30 @@ def test_corrupt_flip_matches_full_map_flip(rate, shape):
                      CorruptionSpec(seg_flip_rate=rate, seed=4))
     want = full_map_flip(seg, rate, 4)
     assert got.dtype == np.int32 and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("bad, error", [
+    (0.5, "whole numbers"), (-2.25, "whole numbers"),
+    (2.0 ** 40, "finite and fit in int32"), (-2.0 ** 31 - 1, "int32"),
+    (np.nan, "finite"), (np.inf, "finite"), (-np.inf, "finite")])
+def test_corrupt_rejects_labels_that_an_int32_cast_would_change(bad, error):
+    seg = np.zeros((4, 5))
+    seg[2, 3] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SynthError, match=error):
+            corrupt(np.full((4, 5), 5.0), seg,
+                    CorruptionSpec(seg_flip_rate=0.5, seed=4))
+
+
+def test_corrupt_takes_whole_float_labels_as_int32():
+    rng = np.random.default_rng(1)
+    seg = rng.choice(np.array([7, -2, 40, 3], np.int32), size=(9, 11))
+    spec = CorruptionSpec(bleed_width=1, seg_flip_rate=0.5, seed=4)
+    depth = rng.uniform(1.0, 9.0, seg.shape)
+    for got, want in zip(corrupt(depth, seg.astype(np.float32), spec),
+                         corrupt(depth, seg, spec)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_parse_scene_config(tmp_path):
