@@ -12,8 +12,9 @@ branch, depth only or segmentation only), its parameter count and its stride
 (input size / output size, from the encoder strides and the ``*N`` upsample
 factors). ``load_tables`` runs the walk once per level, so a malformed
 manifest fails at load, and ``branch_param_totals``, ``output_shapes`` and
-``report`` read it. A branch layer weight-tied to a trunk conv reads its
-channels and stride through that conv and adds no parameters of its own.
+``report`` read it. A shared or segmentation layer may read only layers
+shared at its level, so a sharing list that contradicts the graph fails at
+load; at l1-l3 the branch reads the last shared trunk conv by its own name.
 
 The manifest's set of sections is fixed, and each appears exactly once. A
 ``key = value`` line needs its ``=`` and names its key once per section,
@@ -75,10 +76,8 @@ def param_count(spec: LayerSpec, in_channels: int) -> int:
 
 @dataclass(frozen=True)
 class SharingLevel:
-    level: str
     shared: tuple[str, ...]            # trunk layer names shared with seg
     specific: tuple[LayerSpec, ...]    # segmentation-only layers
-    tied: dict[str, str]               # branch upsample conv -> trunk conv
 
 
 @dataclass(frozen=True)
@@ -199,18 +198,7 @@ def load_tables(text: str | None = None,
             raise ArchError(f"{lvl}: shared layers "
                             f"{sorted(set(shared) - trunk_names)} are not in "
                             "the depth decoder")
-        # a branch upsample conv fed directly by a shared trunk layer is
-        # weight-tied to the trunk conv of the same stage
-        tied = {}
-        specific = []
-        for sp in layers:
-            if (sp.name.startswith("upsconv") and len(sp.inputs) == 1
-                    and sp.inputs[0][0] in trunk_names):
-                tied[sp.name] = "upconv" + sp.name[len("upsconv"):]
-            else:
-                specific.append(sp)
-        levels[lvl] = SharingLevel(level=lvl, shared=shared,
-                                   specific=tuple(specific), tied=tied)
+        levels[lvl] = SharingLevel(shared=shared, specific=tuple(layers))
     tables = DecoderTables(trunk=trunk, levels=levels,
                            encoder_channels=encoder_channels,
                            encoder_params=encoder_params)
@@ -241,14 +229,17 @@ def _walk(tables: DecoderTables, level: str,
     parts = [(layer, "shared" if layer.name in lv.shared else "depth")
              for layer in tables.trunk]
     parts += [(layer, "seg") for layer in lv.specific]
+    depth_only = {layer.name for layer, part in parts if part == "depth"}
     walk = []
     for layer, part in parts:
         n_in, landed = 0, set()
         for src, factor in layer.inputs:
-            src = lv.tied.get(src, src)
             if src not in strides:
                 raise ArchError(f"{level}/{layer.name}: input {src!r} not "
                                 "defined earlier")
+            if part != "depth" and src in depth_only:
+                raise ArchError(f"{level}/{layer.name}: input {src!r} is not "
+                                "shared at this level")
             n_in += channels[src]
             landed.add(strides[src] / factor)
         if len(landed) != 1:

@@ -157,11 +157,10 @@ def cmd_loss(args) -> int:
         a = _plane(tensorio.load_tensor(args.a))
         b = tensorio.to_float(tensorio.load_tensor(args.b)).data
         value = losses.smoothness_loss(a, b)
-    else:  # cross-entropy
+    else:  # cross-entropy: a one-channel label map or a K-channel soft target
         a = tensorio.load_tensor(args.a)
-        target = (a.data[:, :, 0].astype(np.int64) if a.dtype_name == "i32"
-                  else a.data.astype(np.float64))
-        probs = tensorio.load_tensor(args.b).data.astype(np.float64)
+        target = _plane(a, np.int32) if a.channels == 1 else a.data
+        probs = tensorio.load_tensor(args.b).data
         value = losses.cross_entropy(target, probs)
     print(f"{args.kind} {value:.9f}")
     return EXIT_OK

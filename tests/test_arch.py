@@ -221,3 +221,61 @@ def test_manifest_rejects_missing_entries(old, new, error):
 def test_rejects_invalid_layers_and_queries(tables, call, error):
     with pytest.raises(ArchError, match=error):
         call(tables)
+
+
+# (shared, segmentation-specific) decoder parameters of each level, as
+# resnet18 / resnet50
+BRANCH_TOTALS = {
+    "l0": ((0, 3870305), (0, 9731681)),
+    "l1": ((2654848, 1215457), (7963264, 1768417)),
+    "l2": ((3023680, 846625), (8774464, 957217)),
+    "l3": ((3115936, 754369), (8977312, 754369)),
+    "l4": ((3150560, 719745), (9011936, 719745)),
+}
+
+L2_RESNET50_SHAPES_192x640 = {
+    "econv1": (96, 320, 64), "econv2": (48, 160, 256),
+    "econv3": (24, 80, 512), "econv4": (12, 40, 1024),
+    "econv5": (6, 20, 2048),
+    "upconv5": (12, 40, 256), "iconv5": (12, 40, 256),
+    "upconv4": (24, 80, 128), "iconv4": (24, 80, 128),
+    "disp4": (24, 80, 1),
+    "upconv3": (48, 160, 64), "iconv3": (48, 160, 64),
+    "disp3": (48, 160, 1),
+    "upconv2": (96, 320, 32), "iconv2": (96, 320, 32),
+    "disp2": (96, 320, 1),
+    "upconv1": (192, 640, 16), "iconv1": (192, 640, 16),
+    "disp1": (192, 640, 1),
+    "isconv3": (48, 160, 64), "upsconv2": (96, 320, 32),
+    "isconv2": (96, 320, 32), "upsconv1": (192, 640, 16),
+    "isconv1": (192, 640, 16),
+    "sconv1": (192, 640, 128), "sconv2": (192, 640, 128),
+    "sconv3": (192, 640, 1),
+}
+
+
+def test_branch_param_totals_are_pinned(tables):
+    totals = {lvl: tuple(arch.branch_param_totals(tables, lvl, enc)
+                         for enc in arch.ENCODERS) for lvl in arch.LEVELS}
+    assert totals == BRANCH_TOTALS
+    assert arch.branch_param_totals(load_tables(num_classes=19), "l4",
+                                    "resnet50") == (9011936, 722067)
+
+
+def test_output_shapes_are_pinned(tables):
+    shapes = arch.output_shapes(tables, "l2", "resnet50", (192, 640))
+    # the report lists the layers in this order
+    assert list(shapes.items()) == list(L2_RESNET50_SHAPES_192x640.items())
+
+
+@pytest.mark.parametrize("old, new, error", [
+    ("[seg_l1]\nisconv4  | upconv4 econv3 ", "[seg_l1]\nisconv4  | iconv4 econv3 ",
+     r"l1/isconv4: input 'iconv4' is not shared at this level"),
+    ("l1 = upconv5 iconv5 upconv4", "l1 = upconv5 upconv4",
+     r"l1/upconv4: input 'iconv5' is not shared at this level"),
+], ids=["branch-reads-depth-only", "shared-reads-depth-only"])
+def test_manifest_rejects_sharing_that_contradicts_the_graph(old, new, error):
+    text = arch._read_manifest_text()
+    assert text.count(old) == 1
+    with pytest.raises(ArchError, match=error):
+        load_tables(text.replace(old, new))

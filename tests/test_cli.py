@@ -657,3 +657,28 @@ def test_refine_depth_fractional_float_labels_exit_code_2(tmp_path, capsys):
                 "--camera", str(cam_file), "--out", str(out)]) == 2
     assert "labels must be whole numbers" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _cross_entropy(tmp_path, labels):
+    probs = np.array([[[0.7, 0.3], [0.2, 0.8]],
+                      [[0.4, 0.6], [0.9, 0.1]]], np.float32)
+    tensorio.save_tensor(Tensor2D(labels), tmp_path / "y.stn")
+    tensorio.save_tensor(Tensor2D(probs), tmp_path / "p.stn")
+    return run(["loss", "cross-entropy", "--a", str(tmp_path / "y.stn"),
+                "--b", str(tmp_path / "p.stn")])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.uint8, np.int32])
+def test_loss_cross_entropy_reads_labels_of_any_dtype(tmp_path, capsys,
+                                                      dtype):
+    labels = np.array([[0, 1], [1, 0]], dtype)
+    assert _cross_entropy(tmp_path, labels) == 0
+    assert capsys.readouterr().out == "cross-entropy 0.299001156\n"
+
+
+def test_loss_cross_entropy_fractional_labels_exit_code_2(tmp_path, capsys):
+    labels = np.array([[0, 1], [1, 0]], np.float32) + 0.5
+    assert _cross_entropy(tmp_path, labels) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "labels must be whole numbers" in captured.err
