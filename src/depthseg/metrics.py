@@ -43,10 +43,10 @@ def evaluate_depth(pred, gt, gt_valid=None,
     """The standard seven error/accuracy metrics over pixels with valid
     ground truth below the cap; predictions are clamped to [1e-3, cap].
 
-    A NaN or infinite prediction anywhere, or a cap that is not finite,
-    raises ``MetricsError``. Non-finite ground truth needs no check: NaN and
-    -inf fail ``gt > 0`` and +inf fails ``gt <= cap``, so such pixels are
-    never valid.
+    A NaN or infinite prediction anywhere, or a cap that is not finite and
+    above the 1e-3 floor, raises ``MetricsError``. Non-finite ground truth
+    needs no check: NaN and -inf fail ``gt > 0`` and +inf fails
+    ``gt <= cap``, so such pixels are never valid.
     """
     pred = np.asarray(pred, dtype=np.float64)
     gt = np.asarray(gt, dtype=np.float64)
@@ -54,8 +54,8 @@ def evaluate_depth(pred, gt, gt_valid=None,
     # an empty map fails below, as having no valid ground-truth pixels
     if pred.size:
         geometry._check_map(pred, MetricsError, "predictions must be finite")
-    if not np.isfinite(cap):
-        raise MetricsError("cap must be finite")
+    if not MIN_PRED_DEPTH < cap < np.inf:
+        raise MetricsError("cap must be finite and above 1e-3")
     valid = (gt > 0) & (gt <= cap)
     if gt_valid is not None:
         geometry._same_shape(MetricsError, gt, gt_valid)

@@ -75,6 +75,8 @@ class ObjectSpec:
             raise SynthError(f"{self.shape} expects {n} parameters")
         if not all(math.isfinite(p) for p in self.params):
             raise SynthError(f"{self.shape} parameters must be finite")
+        if self.shape == "disk" and self.params[2] < 0:
+            raise SynthError("disk radius must not be negative")
 
     def mask(self, height: int, width: int,
              col_shift: float = 0.0) -> np.ndarray:

@@ -9,9 +9,13 @@ under a regular file.
 
 Every case must exit 0, 1 or 2, with no exception or warning escaping
 ``main`` (the suite turns warnings into errors). On exit 2 it writes no
-output file, and on exit 0 every output file and every printed number is
-finite. A non-finite value in any input exits 2, except in ``eval --gt``:
-the valid mask drops such ground-truth pixels, so that run exits 0.
+output file and nothing to stdout, and one stderr line that starts with
+``error: ``; on exit 0 every output file and every printed number is
+finite. A non-finite value in any input exits 2 with a line that names
+the rule, except in ``eval --gt``: the valid mask drops such ground-truth
+pixels, so that run exits 0. Float labels with a half added exit 2 as
+not whole numbers, and probabilities with a half added as not summing to
+1; the same variant of any other input exits 0.
 """
 
 import re
@@ -101,6 +105,7 @@ ARRAY_VARIANTS = {
     "u8": lambda a: a.astype(np.uint8),
     "i32": lambda a: a.astype(np.int32),
     "mismatch": lambda a: a[:-1],
+    "half": lambda a: a.astype(np.float32) + 0.5,
 }
 
 CROPS = {"1x1": (1, 1), "1xW": (1, W), "Hx1": (H, 1)}
@@ -177,11 +182,13 @@ def _run(tmp_path, capsys, command, paths, out_paths=None):
     return code, captured.out, captured.err
 
 
-def _check_outcome(code, out, out_dir):
+def _check_outcome(code, out, err, out_dir):
     assert code in (0, 1, 2)
     written = sorted(out_dir.iterdir())
     if code != 0:
         assert written == []
+        if code == 2:
+            assert out == "" and re.fullmatch("error: .+\n", err), (out, err)
         return
     assert not re.search(r"\b(nan|inf)\b", out, re.IGNORECASE), out
     for path in written:
@@ -221,10 +228,17 @@ def test_input_variant(tmp_path, capsys, command, flag, variant, index):
         tensorio.save_tensor(Tensor2D(ARRAY_VARIANTS[variant](ARRAYS[kind])),
                              path)
     code, out, err = _run(tmp_path, capsys, command, paths)
-    _check_outcome(code, out, tmp_path / "out")
-    if variant in NONFINITE:
-        expected = 0 if (command, flag) == ("eval", "--gt") else 2
-        assert code == expected, err
+    _check_outcome(code, out, err, tmp_path / "out")
+    rule = None
+    if variant in NONFINITE and (command, flag) != ("eval", "--gt"):
+        rule = "(finite|sum to 1)"
+    elif variant == "half" and kind.startswith("labels"):
+        rule = "labels must be whole numbers"
+    elif variant == "half" and kind == "probs":
+        rule = "sum to 1"
+    if variant in (*NONFINITE, "half"):
+        assert code == (0 if rule is None else 2), err
+        assert rule is None or re.match(f"error: .*{rule}", err), err
 
 
 @pytest.mark.parametrize("crop", CROPS)
@@ -236,8 +250,8 @@ def test_every_array_input_cropped(tmp_path, capsys, command, crop):
         h, w = CROPS[crop]
         (tmp_path / "in--config").write_text(
             _config_text({**CONFIG, "height": str(h), "width": str(w)}))
-    code, out, _ = _run(tmp_path, capsys, command, paths)
-    _check_outcome(code, out, tmp_path / "out")
+    code, out, err = _run(tmp_path, capsys, command, paths)
+    _check_outcome(code, out, err, tmp_path / "out")
 
 
 def _path_cases():
@@ -257,10 +271,9 @@ def test_path_under_a_regular_file(tmp_path, capsys, command, flag):
         paths[flag] = str(blocker / "x")
     else:
         out_paths[flag] = str(blocker / "x")
-    code, _, err = _run(tmp_path, capsys, command, paths, out_paths)
+    code, out, err = _run(tmp_path, capsys, command, paths, out_paths)
     assert code == 2
-    assert err.startswith("error:")
-    assert not any((tmp_path / "out").iterdir())
+    _check_outcome(code, out, err, tmp_path / "out")
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
         ["afile", "out", *(f"in{f}" for f in inputs)])
 
@@ -268,6 +281,6 @@ def test_path_under_a_regular_file(tmp_path, capsys, command, flag):
 def test_synth_with_a_height_of_1e30(tmp_path, capsys):
     (tmp_path / "in--config").write_text(
         _config_text({**CONFIG, "height": "1e30"}))
-    code, out, _ = _run(tmp_path, capsys, "synth",
-                        {"--config": str(tmp_path / "in--config")})
-    _check_outcome(code, out, tmp_path / "out")
+    code, out, err = _run(tmp_path, capsys, "synth",
+                          {"--config": str(tmp_path / "in--config")})
+    _check_outcome(code, out, err, tmp_path / "out")

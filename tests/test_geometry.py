@@ -74,9 +74,21 @@ def oracle_warp(src_img, depth, pose, cam):
 
 
 def assert_bitwise(got, want):
-    for g, e in zip(got, want):
+    """Each array of ``got`` and of ``want`` the same in dtype, shape and
+    bytes: a -0.0 does not match a 0.0."""
+    for g, e in zip(got, want, strict=True):
         assert g.dtype == e.dtype and g.shape == e.shape
-        assert np.array_equal(g, e)
+        assert g.tobytes() == e.tobytes()
+
+
+def traced_peak(fn, *args):
+    """The peak of the memory tracemalloc sees ``fn(*args)`` allocate."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_camera_rejects_nonpositive_focal():
@@ -619,12 +631,7 @@ def test_warp_peak_memory():
     src = rng.random((h, w)).astype(np.float32)
     depth = rng.uniform(3.0, 40.0, (h, w))
     cam = Camera(0.58 * w, 1.92 * h, (w - 1) / 2, (h - 1) / 2)
-    tracemalloc.start()
-    try:
-        warp(src, depth, Pose.stereo_baseline(0.54), cam)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(warp, src, depth, Pose.stereo_baseline(0.54), cam)
     assert peak <= 10 * h * w * 8
 
 

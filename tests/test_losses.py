@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -10,24 +8,9 @@ from depthseg.losses import (SSIM_C1, SSIM_C2, LossError, LossWeights,
                              multiscale_photometric, photometric_loss,
                              photometric_loss_grad, smoothness_loss,
                              smoothness_loss_grad, ssim_map)
-from test_geometry import oracle_upsample_bilinear, oracle_warp
-
-
-def finite_difference(f, x, eps=1e-6):
-    num = np.zeros_like(x, dtype=np.float64)
-    it = np.nditer(x, flags=["multi_index"])
-    for _ in it:
-        idx = it.multi_index
-        xp = x.copy()
-        xp[idx] += eps
-        xm = x.copy()
-        xm[idx] -= eps
-        num[idx] = (f(xp) - f(xm)) / (2 * eps)
-    return num
-
-
-def rel_error(a, b):
-    return np.abs(a - b).max() / max(np.abs(b).max(), 1e-8)
+from test_acceptance import finite_difference, rel_error
+from test_geometry import (assert_bitwise, oracle_upsample_bilinear,
+                           oracle_warp, traced_peak)
 
 
 @pytest.mark.parametrize("field", ["lam_h", "gamma", "beta1", "beta2"])
@@ -568,15 +551,6 @@ def test_ssim_and_photometric_match_expression_form_bitwise(shape):
         assert got.dtype == grad.dtype and np.array_equal(got, grad)
 
 
-def traced_peak(fn, *args):
-    tracemalloc.start()
-    try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_ssim_map_and_gradient_peak_memory():
     # float32 images at 192x640, in units of H*W*8 bytes. Out-of-place
     # SSIM terms peaked at 17.0 for ssim_map and 23.2 for the gradient;
@@ -591,12 +565,6 @@ def test_ssim_map_and_gradient_peak_memory():
     assert traced_peak(photometric_loss_grad, a, b, mask) <= 14 * unit
 
 
-def assert_same_bits(got, want):
-    """Equal dtype, shape and bytes: a -0.0 does not match a 0.0."""
-    assert got.dtype == want.dtype and got.shape == want.shape
-    assert got.tobytes() == want.tobytes()
-
-
 @pytest.mark.parametrize("h", [1, 2, 5])
 @pytest.mark.parametrize("w", [1, 2, 3, 4])
 @pytest.mark.parametrize("c", [1, 3])
@@ -608,7 +576,7 @@ def test_box_sum_matches_expression_form_bitwise(h, w, c):
     x = rng.normal(size=(h, w, c))
     x.reshape(-1)[::3] = 0.0
     x.reshape(-1)[1::5] = -0.0
-    assert_same_bits(losses._box_sum(x), expression_box_sum(x))
+    assert_bitwise([losses._box_sum(x)], [expression_box_sum(x)])
 
 
 def test_photometric_loss_of_a_warp_matches_expression_form():

@@ -118,6 +118,13 @@ def test_nonfinite_cap_rejected(cap):
         evaluate_depth(np.full((2, 2), 5.0), np.full((2, 2), 5.0), cap=cap)
 
 
+@pytest.mark.parametrize("cap", [1e-3, 1e-4, 0.0, -1.0])
+def test_cap_at_or_below_the_prediction_floor_rejected(cap):
+    # predictions are clamped to [1e-3, cap], so every one would be the cap
+    with pytest.raises(MetricsError, match="cap must be finite and above"):
+        evaluate_depth(np.array([1.0, 2.0]), np.array([5e-5, 8e-5]), cap=cap)
+
+
 @pytest.mark.parametrize("pred, gt", [
     (np.ones((2, 3)), np.ones((3, 2))),
     (np.ones((2, 3)), np.ones(6)),

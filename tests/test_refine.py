@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -10,6 +8,7 @@ from depthseg.refine import (RefineConfig, RefineError, RefineState,
                              refine_segmentation_with_depth,
                              split_confidence_by_agreement,
                              split_confidence_by_consistency)
+from test_geometry import traced_peak
 
 
 def test_config_validation():
@@ -385,20 +384,25 @@ def test_depth_long_strip_reaches_fixed_point(impl):
     assert (out == 2.0).all()
 
 
+def _dilate(mask):
+    """``mask`` grown by one pixel in each of the eight directions."""
+    h, w = mask.shape
+    padded = np.pad(mask, 1)
+    grown = np.zeros_like(mask)
+    for dr in range(3):
+        for dc in range(3):
+            grown |= padded[dr:dr + h, dc:dc + w]
+    return grown
+
+
 def _wavefront_depth(confident, candidates):
     """Iterations a wavefront from ``confident`` takes to reach every
     candidate it can reach, counted by repeated 3x3 dilation."""
-    h, w = confident.shape
     reached = confident.copy()
     todo = candidates & ~confident
     iterations = 0
     while True:
-        padded = np.pad(reached, 1)
-        grown = np.zeros_like(reached)
-        for dr in range(3):
-            for dc in range(3):
-                grown |= padded[dr:dr + h, dc:dc + w]
-        step = grown & todo
+        step = _dilate(reached) & todo
         if not step.any():
             return iterations
         reached |= step
@@ -417,20 +421,6 @@ def test_parallel_matches_reference_at_every_cap():
 
         y = rng.integers(0, 3, (h, w))
         y_hat = np.where(conf, y, y + 1)
-        base = dict(depth_threshold=1.0)
-        full = refine_segmentation_with_depth(
-            y, y_hat, depth, RefineConfig(**base), "reference")
-        n = _wavefront_depth(conf, ~conf)
-        for cap in range(1, n + 2):
-            cfg = RefineConfig(max_iterations=cap, **base)
-            a = refine_segmentation_with_depth(y, y_hat, depth, cfg,
-                                               "parallel")
-            b = refine_segmentation_with_depth(y, y_hat, depth, cfg,
-                                               "reference")
-            assert np.array_equal(a, b), (h, w, cap)
-            if cap >= n:
-                assert np.array_equal(a, full), (h, w, cap)
-
         # classes 0-2 in 2x2 blocks; class 3 holds the last pixel and has
         # no confident pixel, so it is never reached
         seg = np.kron(rng.integers(0, 3, (h // 2 + 1, w // 2 + 1)),
@@ -439,34 +429,25 @@ def test_parallel_matches_reference_at_every_cap():
         states = [RefineState(confident=(seg == k) & conf & (k != 3),
                               unreliable=(seg == k) & ~(conf & (k != 3)))
                   for k in range(4)]
-        full = refine_depth_with_segmentation(
-            depth, states, RefineConfig(**base), "reference")
-        n = max(_wavefront_depth(st.confident, st.unreliable)
-                for st in states)
-        for cap in range(1, n + 2):
-            cfg = RefineConfig(max_iterations=cap, **base)
-            a = refine_depth_with_segmentation(depth, states, cfg, "parallel")
-            b = refine_depth_with_segmentation(depth, states, cfg,
-                                               "reference")
-            assert np.array_equal(a, b), (h, w, cap)
-            if cap >= n:
-                assert np.array_equal(a, full), (h, w, cap)
+        full = _check_every_cap(y, y_hat, depth, states)
         assert full[-1, -1] == depth[-1, -1]
 
 
 def _check_every_cap(y, y_hat, depth, states):
     """Both passes, parallel against reference, at every cap up to one past
-    the fixed point and uncapped."""
+    the fixed point, and against the uncapped reference from the fixed
+    point on; the uncapped depth."""
     base = dict(depth_threshold=1.0)
     conf = y == y_hat
     full = refine_segmentation_with_depth(
         y, y_hat, depth, RefineConfig(**base), "reference")
-    for cap in range(1, _wavefront_depth(conf, ~conf) + 2):
+    n = _wavefront_depth(conf, ~conf)
+    for cap in range(1, n + 2):
         cfg = RefineConfig(max_iterations=cap, **base)
         a = refine_segmentation_with_depth(y, y_hat, depth, cfg, "parallel")
         b = refine_segmentation_with_depth(y, y_hat, depth, cfg, "reference")
         assert np.array_equal(a, b), cap
-    assert np.array_equal(a, full)
+        assert cap < n or np.array_equal(a, full), cap
     full = refine_depth_with_segmentation(
         depth, states, RefineConfig(**base), "reference")
     n = max(_wavefront_depth(st.confident, st.unreliable) for st in states)
@@ -475,7 +456,8 @@ def _check_every_cap(y, y_hat, depth, states):
         a = refine_depth_with_segmentation(depth, states, cfg, "parallel")
         b = refine_depth_with_segmentation(depth, states, cfg, "reference")
         assert np.array_equal(a, b), cap
-    assert np.array_equal(a, full)
+        assert cap < n or np.array_equal(a, full), cap
+    return full
 
 
 # below one half the first frontier is found from the confident pixels,
@@ -512,11 +494,7 @@ def test_first_frontier_holds_every_pixel_that_can_be_confirmed(share):
     assert np.unique(got).size == got.size
     # the open pixels next to a confident one, and from the open side every
     # open pixel
-    padded = np.pad(conf, 1)
-    near = np.zeros_like(conf)
-    for dr, dc in geometry._NEIGHBOR_OFFSETS:
-        near |= padded[1 + dr:1 + dr + h, 1 + dc:1 + dc + w]
-    expect = open_ & near if share < 0.5 else open_
+    expect = open_ & _dilate(conf) if share < 0.5 else open_
     assert np.array_equal(np.sort(got),
                           np.flatnonzero(refine._pad_flat(expect, False)))
     # the depth pass's first pushers: the confident pixels next to an open
@@ -524,11 +502,7 @@ def test_first_frontier_holds_every_pixel_that_can_be_confirmed(share):
     got = refine._first_frontier(open_flat, offsets,
                                  refine._pad_flat(conf, False), slot)
     assert np.unique(got).size == got.size
-    padded = np.pad(open_, 1)
-    near = np.zeros_like(conf)
-    for dr, dc in geometry._NEIGHBOR_OFFSETS:
-        near |= padded[1 + dr:1 + dr + h, 1 + dc:1 + dc + w]
-    expect = conf & near if open_.sum() < conf.sum() else conf
+    expect = conf & _dilate(open_) if open_.sum() < conf.sum() else conf
     assert np.array_equal(np.sort(got),
                           np.flatnonzero(refine._pad_flat(expect, False)))
 
@@ -605,13 +579,8 @@ def test_depth_pass_peak_memory():
     _, _, depth, states = _kitti_like_inputs(4)
     unreliable = sum(int(st.unreliable.sum()) for st in states)
     assert 0.8 < unreliable / depth.size < 0.9
-    tracemalloc.start()
-    try:
-        refine_depth_with_segmentation(depth, states)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 20 * depth.size * 8
+    assert traced_peak(refine_depth_with_segmentation, depth, states) \
+        <= 20 * depth.size * 8
 
 
 @pytest.mark.parametrize("shape", [(12,), (3, 4, 2)])

@@ -19,6 +19,7 @@ import pytest
 from depthseg import geometry, synth
 from depthseg.refine import (refine_depth_full,
                              refine_segmentation_with_depth)
+from test_geometry import assert_bitwise
 
 H, W = 72, 240
 BASELINE = 0.54
@@ -76,11 +77,6 @@ def depth_pass(frame, y_ref, depth=None, baseline=BASELINE, cam=None,
                              synth.intensity_segmenter(64))
 
 
-def assert_same(got, want):
-    assert got.dtype == want.dtype and got.shape == want.shape
-    assert got.tobytes() == want.tobytes()
-
-
 @pytest.fixture(scope="module", params=SEEDS)
 def frame(request):
     return kitti_frame(request.param)
@@ -101,31 +97,33 @@ def test_frames_give_both_passes_work(frame, y_ref):
 
 def test_seg_pass_keeps_its_labels_when_the_depth_doubles(frame, y_ref):
     _, _, _, bad_depth, bad_seg, y_hat = frame
-    assert_same(refine_segmentation_with_depth(bad_seg, y_hat,
-                                               2.0 * bad_depth), y_ref)
+    assert_bitwise([refine_segmentation_with_depth(bad_seg, y_hat,
+                                                   2.0 * bad_depth)], [y_ref])
 
 
 def test_depth_pass_doubles_with_the_depth_and_baseline(frame, y_ref):
     _, _, _, bad_depth, _, _ = frame
-    assert_same(depth_pass(frame, y_ref, depth=2.0 * bad_depth,
-                           baseline=2.0 * BASELINE),
-                2.0 * depth_pass(frame, y_ref))
+    assert_bitwise([depth_pass(frame, y_ref, depth=2.0 * bad_depth,
+                               baseline=2.0 * BASELINE)],
+                   [2.0 * depth_pass(frame, y_ref)])
 
 
 def test_seg_pass_renames_its_labels_with_the_class_ids(frame, y_ref):
     _, _, _, bad_depth, bad_seg, y_hat = frame
-    assert_same(refine_segmentation_with_depth(RENAME[bad_seg],
-                                               RENAME[y_hat], bad_depth),
-                RENAME[y_ref])
+    assert_bitwise([refine_segmentation_with_depth(RENAME[bad_seg],
+                                                   RENAME[y_hat], bad_depth)],
+                   [RENAME[y_ref]])
 
 
 def test_depth_pass_ignores_a_renaming_of_the_class_ids(frame, y_ref):
-    assert_same(depth_pass(frame, RENAME[y_ref]), depth_pass(frame, y_ref))
+    assert_bitwise([depth_pass(frame, RENAME[y_ref])],
+                   [depth_pass(frame, y_ref)])
 
 
 def test_depth_pass_commutes_with_a_vertical_flip(frame, y_ref):
     cam = frame[0]
     flipped = geometry.Camera(cam.fx, cam.fy, cam.cx, H - 1 - cam.cy)
     assert flipped.cy == cam.cy
-    assert_same(np.flipud(depth_pass(frame, y_ref, cam=flipped, flip=True)),
-                depth_pass(frame, y_ref))
+    assert_bitwise([np.flipud(depth_pass(frame, y_ref, cam=flipped,
+                                         flip=True))],
+                   [depth_pass(frame, y_ref)])

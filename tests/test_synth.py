@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,6 +8,7 @@ from depthseg import geometry, synth
 from depthseg.synth import (CorruptionSpec, ObjectSpec, SceneSpec, SynthError,
                             corrupt, intensity_segmenter, parse_scene_config,
                             render, surface_texture)
+from test_geometry import traced_peak
 
 
 def make_scene(**overrides):
@@ -501,13 +501,7 @@ def test_render_hashes_each_lattice_point_once(spec, monkeypatch):
 
 def test_render_peak_memory():
     spec = kitti_like_scene(0, 192, 640)
-    tracemalloc.start()
-    try:
-        render(spec)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 16 * spec.height * spec.width * 8
+    assert traced_peak(render, spec) <= 16 * spec.height * spec.width * 8
 
 
 @pytest.mark.parametrize("build", [
@@ -548,6 +542,7 @@ def test_scene_rejects_nonfinite_numbers(field, value):
     ("rect", (0, 0, float("inf"), 4), 2.0),
     ("disk", (5, 5, float("nan")), 2.0),
     ("disk", (float("-inf"), 5, 2), 2.0),
+    ("disk", (5, 5, -3), 2.0),
 ])
 def test_object_rejects_nonfinite_numbers(shape, params, depth):
     with pytest.raises(SynthError):
