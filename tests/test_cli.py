@@ -57,9 +57,10 @@ def test_synth_writes_artifacts(tmp_path):
     assert depth.data.shape == (64, 128, 1)
 
 
-# a non-finite value in the other keys is in the input-fuzz matrix of
-# test_cli_fuzz.py, which replaces no object corner
 @pytest.mark.parametrize("old, new", [
+    ("baseline=0.4", "baseline=nan"),
+    ("object=rect,20,50,44,74,2.0,1,5", "object=rect,20,50,44,74,nan,1,5"),
+    ("background_depth=10", "background_depth=inf"),
     ("object=rect,20,50,44,74,2.0,1,5", "object=rect,20,nan,44,74,2.0,1,5"),
 ])
 def test_synth_nonfinite_scene_exit_code_2(tmp_path, capsys, old, new):
@@ -146,6 +147,26 @@ def test_warp_source_of_another_size_exit_code_2(tmp_path, capsys):
     assert not out.exists() and not out_valid.exists()
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_warp_nonfinite_source_exit_code_2(tmp_path, capsys, bad):
+    src = np.ones((8, 8), np.float32)
+    src[2, 5] = bad
+    tensorio.save_tensor(Tensor2D(src), tmp_path / "src.stn")
+    tensorio.save_tensor(Tensor2D(np.full((8, 8), 3.0, np.float32)),
+                         tmp_path / "depth.stn")
+    cam_file = tmp_path / "cam.txt"
+    cam_file.write_text(CAMERA_TXT)
+    out, out_valid = tmp_path / "warped.stn", tmp_path / "valid.stn"
+    assert run(["warp", "--src", str(tmp_path / "src.stn"),
+                "--depth", str(tmp_path / "depth.stn"),
+                "--camera", str(cam_file),
+                "--out", str(out), "--out-valid", str(out_valid)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "finite" in captured.err
+    assert not out.exists() and not out_valid.exists()
+
+
 def refine_seg_inputs(tmp_path):
     """Random 16x16 refine-seg inputs written to tmp_path: the command line
     without --th and --out, and the arrays."""
@@ -200,6 +221,44 @@ def test_refine_depth_restores_bleed(tmp_path):
     bad = tensorio.load_tensor(str(prefix) + "_depth_corrupt.stn")
     band = bad.data[:, :, 0] != depth
     assert np.abs(fixed[band] - 10.0).max() < 0.5
+
+
+def test_refine_depth_nonfinite_depth_exit_code_2(tmp_path, capsys):
+    prefix = write_scene(tmp_path)
+    cam_file = tmp_path / "cam.txt"
+    cam_file.write_text(CAMERA_TXT)
+    depth = tensorio.load_tensor(str(prefix) + "_depth.stn").data.copy()
+    depth[3, 5, 0] = np.nan
+    tensorio.save_tensor(Tensor2D(depth), tmp_path / "nan.stn")
+    out = tmp_path / "fixed.stn"
+    assert run(["refine-depth", "--depth", str(tmp_path / "nan.stn"),
+                "--y", str(prefix) + "_seg.stn",
+                "--target", str(prefix) + "_left.stn",
+                "--src", str(prefix) + "_right.stn",
+                "--camera", str(cam_file), "--out", str(out)]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("image", ["_left", "_right"])
+def test_refine_depth_nonfinite_image_exit_code_2(tmp_path, capsys, image):
+    prefix = write_scene(tmp_path)
+    cam_file = tmp_path / "cam.txt"
+    cam_file.write_text(CAMERA_TXT)
+    img = tensorio.load_tensor(str(prefix) + image + ".stn").data.copy()
+    img[3, 5, 0] = np.nan
+    tensorio.save_tensor(Tensor2D(img), tmp_path / "nan.stn")
+    paths = {"_left": str(prefix) + "_left.stn",
+             "_right": str(prefix) + "_right.stn"}
+    paths[image] = str(tmp_path / "nan.stn")
+    out = tmp_path / "fixed.stn"
+    assert run(["refine-depth",
+                "--depth", str(prefix) + "_depth_corrupt.stn",
+                "--y", str(prefix) + "_seg.stn",
+                "--target", paths["_left"], "--src", paths["_right"],
+                "--camera", str(cam_file), "--out", str(out)]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_refine_depth_with_an_overbright_source(tmp_path, capsys):
@@ -271,19 +330,37 @@ def test_removed_options_are_usage_errors(tmp_path, capsys):
     assert not (tmp_path / "fixed.stn").exists()
 
 
+def test_loss_hint_nonfinite_depth_exit_code_2(tmp_path, capsys):
+    pred = np.full((4, 4), 5.0, dtype=np.float32)
+    pred[1, 2] = np.nan
+    target = np.full((4, 4), 5.0, dtype=np.float32)
+    tensorio.save_tensor(Tensor2D(pred), tmp_path / "p.stn")
+    tensorio.save_tensor(Tensor2D(target), tmp_path / "t.stn")
+    assert run(["loss", "hint", "--a", str(tmp_path / "p.stn"),
+                "--b", str(tmp_path / "t.stn")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "finite" in captured.err
+
+
 def _nan_at(arr, index):
     arr[index] = np.nan
     return arr
 
 
-# a NaN in the first channel of any loss input, and a label target, are in
-# the input-fuzz matrix of test_cli_fuzz.py
 @pytest.mark.parametrize("kind, a, b, error", [
+    ("photometric", np.zeros((8, 8), np.float32),
+     _nan_at(np.full((8, 8), 0.5, np.float32), (3, 4)), "finite"),
     ("photometric", _nan_at(np.zeros((8, 8, 3), np.float32), (0, 0, 2)),
      np.zeros((8, 8, 3), np.float32), "finite"),
+    ("smoothness", _nan_at(np.full((4, 4), 0.5, np.float32), (1, 2)),
+     np.zeros((4, 4), np.float32), "finite"),
+    ("cross-entropy", np.zeros((4, 4), np.int32),
+     _nan_at(np.full((4, 4, 2), 0.5, np.float32), (1, 2, 0)), "sum to 1"),
     ("cross-entropy", _nan_at(np.full((4, 4, 2), 0.5, np.float32), (1, 2, 0)),
      np.full((4, 4, 2), 0.5, np.float32), "soft target must be finite"),
-], ids=["photometric-a", "cross-entropy-soft-target"])
+], ids=["photometric-b", "photometric-a", "smoothness", "cross-entropy",
+        "cross-entropy-soft-target"])
 def test_loss_nonfinite_input_exit_code_2(tmp_path, capsys, kind, a, b,
                                           error):
     tensorio.save_tensor(Tensor2D(a), tmp_path / "a.stn")
@@ -307,6 +384,19 @@ def test_eval_command_csv(tmp_path, capsys):
     assert lines[1].startswith("0.100000,0.150000,")
 
 
+def test_eval_nonfinite_prediction_exit_code_2(tmp_path, capsys):
+    pred = np.full((4, 4), 5.0, dtype=np.float32)
+    pred[2, 1] = np.nan
+    gt = np.full((4, 4), 5.0, dtype=np.float32)
+    tensorio.save_tensor(Tensor2D(pred), tmp_path / "p.stn")
+    tensorio.save_tensor(Tensor2D(gt), tmp_path / "g.stn")
+    assert run(["eval", "--pred", str(tmp_path / "p.stn"),
+                "--gt", str(tmp_path / "g.stn")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "finite" in captured.err
+
+
 def test_pp_command(tmp_path):
     d = np.full((4, 100), 2.0, dtype=np.float32)
     m = np.full((4, 100), 4.0, dtype=np.float32)
@@ -318,6 +408,24 @@ def test_pp_command(tmp_path):
                 "--out", str(out)]) == 0
     blended = tensorio.load_tensor(out).data[:, :, 0]
     assert blended[0, 50] == pytest.approx(3.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, -np.inf])
+@pytest.mark.parametrize("which", ["d", "m"])
+def test_pp_nonfinite_prediction_exit_code_2(tmp_path, capsys, bad, which):
+    maps = {"d": np.full((4, 100), 2.0, np.float32),
+            "m": np.full((4, 100), 4.0, np.float32)}
+    maps[which][1, 7] = bad
+    for name, arr in maps.items():
+        tensorio.save_tensor(Tensor2D(arr), tmp_path / f"{name}.stn")
+    out = tmp_path / "pp.stn"
+    assert run(["pp", "--pred", str(tmp_path / "d.stn"),
+                "--pred-flipped", str(tmp_path / "m.stn"),
+                "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "finite" in captured.err
+    assert not out.exists()
 
 
 def test_arch_command(capsys):
@@ -509,8 +617,7 @@ def test_synth_removes_its_outputs_when_a_later_one_fails(tmp_path, capsys):
     assert not any((tmp_path / "s_left.pgm").iterdir())
 
 
-# non-finite float labels are in the input-fuzz matrix of test_cli_fuzz.py
-@pytest.mark.parametrize("bad", [3e9])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 3e9])
 def test_float_labels_out_of_int32_exit_code_2(tmp_path, capsys, bad):
     argv, y, _, _ = refine_seg_inputs(tmp_path)
     labels = y.astype(np.float32)
