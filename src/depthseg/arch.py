@@ -1,47 +1,41 @@
 """Decoder architecture tables with shape and parameter-count calculators.
 
-The layer tables ship as a text manifest (``data/decoder_tables.txt``) and
-describe the depth-branch decoder plus the segmentation branch at the five
-decoder-sharing levels l0 (encoder only) through l4 (whole decoder trunk
-shared). Nothing here instantiates a network; the module only answers
-"what shape comes out of each layer" and "how many parameters live where".
+The tables below describe the depth-branch decoder plus the segmentation
+branch at the five decoder-sharing levels l0 (encoder only) through l4
+(whole decoder trunk shared). Nothing here instantiates a network; the
+module only answers "what shape comes out of each layer" and "how many
+parameters live where".
 
 One walk over a level's layers, each trunk layer and then each
 segmentation-specific layer, gives its part (shared with the segmentation
 branch, depth only or segmentation only), its parameter count and its stride
-(input size / output size, from the encoder strides and the ``*N`` upsample
-factors). ``load_tables`` runs the walk once per level, so a malformed
-manifest fails at load, and ``branch_param_totals``, ``output_shapes`` and
-``report`` read it. A shared or segmentation layer may read only layers
-shared at its level, so a sharing list that contradicts the graph fails at
-load; at l1-l3 the branch reads the last shared trunk conv by its own name.
-
-The manifest's set of sections is fixed, and each appears exactly once. A
-``key = value`` line needs its ``=`` and names its key once per section,
-both encoder sections name the same encoders, and ``[sharing_levels]``
-names each level.
+(input size / output size, from the encoder strides and the upsample
+factors). ``load_tables`` runs the walk once per level, so tables that
+contradict their graph fail at load, and ``branch_param_totals``,
+``output_shapes`` and ``report`` read it. A shared layer must be a depth
+decoder layer, and a shared or segmentation layer may read only layers
+shared at its level.
 """
 
 from __future__ import annotations
 
-import importlib.resources
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
 LEVELS = ("l0", "l1", "l2", "l3", "l4")
 ENCODERS = ("resnet18", "resnet50")
 
-# each manifest section, which appears exactly once
-_SECTIONS = ("encoder_channels", "encoder_params", "depth_decoder",
-             *(f"seg_{lvl}" for lvl in LEVELS), "sharing_levels")
-
 # after the stem / four residual stages, relative to the input resolution
 _ENCODER_STRIDES = {"econv1": 2, "econv2": 4, "econv3": 8, "econv4": 16,
                     "econv5": 32}
 
+# each encoder's parameter count and the channel widths of econv1-econv5
+_ENCODERS = {"resnet18": (11689512, (64, 64, 128, 256, 512)),
+             "resnet50": (25557032, (64, 256, 512, 1024, 2048))}
+
 
 class ArchError(ValueError):
-    """Malformed table manifest or invalid query."""
+    """An invalid layer or query, or tables that contradict their graph."""
 
 
 @dataclass(frozen=True)
@@ -88,120 +82,111 @@ class DecoderTables:
     encoder_params: dict[str, int]
 
 
-def _int(token: str, line: str) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise ArchError(f"{token!r} is not an integer in line {line!r}"
-                        ) from None
+def _conv(name: str, inputs: tuple[tuple[str, int], ...], out_channels: int,
+          activation: str = "elu") -> LayerSpec:
+    """A 3x3 conv without BatchNorm. Each input is a (source layer, N) pair:
+    the source is upsampled N times before use, and the inputs are
+    channel-concatenated."""
+    return LayerSpec(name, inputs, 3, out_channels, False, activation)
 
 
-def _parse_layer(line: str) -> LayerSpec:
-    parts = [p.strip() for p in line.split("|")]
-    if len(parts) != 6:
-        raise ArchError(f"malformed layer line: {line!r}")
-    name, inputs_str, k, chn, bn, act = parts
-    inputs = []
-    for token in inputs_str.split():
-        src, star, factor = token.partition("*")
-        inputs.append((src, _int(factor, line) if star else 1))
-    return LayerSpec(name=name, inputs=tuple(inputs), kernel=_int(k, line),
-                     out_channels=_int(chn, line), batch_norm=bn == "bn",
-                     activation=act)
+# The depth decoder. An upsample conv (upconv*, upsconv*) includes its 2x
+# upsample, so every layer's inputs land at one resolution.
+_TRUNK = (
+    _conv("upconv5", (("econv5", 2),), 256),
+    _conv("iconv5", (("upconv5", 1), ("econv4", 1)), 256),
+    _conv("upconv4", (("iconv5", 2),), 128),
+    _conv("iconv4", (("upconv4", 1), ("econv3", 1)), 128),
+    _conv("disp4", (("iconv4", 1),), 1, "sigmoid"),
+    _conv("upconv3", (("iconv4", 2),), 64),
+    _conv("iconv3", (("upconv3", 1), ("econv2", 1)), 64),
+    _conv("disp3", (("iconv3", 1),), 1, "sigmoid"),
+    _conv("upconv2", (("iconv3", 2),), 32),
+    _conv("iconv2", (("upconv2", 1), ("econv1", 1)), 32),
+    _conv("disp2", (("iconv2", 1),), 1, "sigmoid"),
+    _conv("upconv1", (("iconv2", 2),), 16),
+    _conv("iconv1", (("upconv1", 1),), 16),
+    _conv("disp1", (("iconv1", 1),), 1, "sigmoid"),
+)
+
+# the segmentation branch at l0, which shares no decoder layer
+_L0_BRANCH = (
+    _conv("upsconv5", (("econv5", 2),), 256),
+    _conv("isconv5", (("upsconv5", 1), ("econv4", 1)), 256),
+    _conv("upsconv4", (("isconv5", 2),), 128),
+    _conv("isconv4", (("upsconv4", 1), ("econv3", 1)), 128),
+    _conv("upsconv3", (("isconv4", 2),), 64),
+    _conv("isconv3", (("upsconv3", 1), ("econv2", 1)), 64),
+    _conv("upsconv2", (("isconv3", 2),), 32),
+    _conv("isconv2", (("upsconv2", 1), ("econv1", 1)), 32),
+    _conv("upsconv1", (("isconv2", 2),), 16),
+    _conv("isconv1", (("upsconv1", 1),), 16),
+)
 
 
-def _read_manifest_text() -> str:
-    ref = importlib.resources.files("depthseg").joinpath(
-        "data/decoder_tables.txt")
-    return ref.read_text()
+def _head(f5: str, f4: str, f3: str, f2: str,
+          f1: str) -> tuple[LayerSpec, ...]:
+    """sconv1-3, on the upsample convs f5 (at stride 16) to f1 (at full
+    resolution), each brought to full resolution. sconv3 is stored with its
+    literal output width of 1; segmentation over K classes overrides it at
+    load time."""
+    return (LayerSpec("sconv1", ((f5, 16), (f4, 8), (f3, 4), (f2, 2), (f1, 1)),
+                      3, 128, True, "relu"),
+            LayerSpec("sconv2", (("sconv1", 1),), 3, 128, True, "relu"),
+            LayerSpec("sconv3", (("sconv2", 1),), 1, 1, False, "softmax"))
 
 
-def load_tables(text: str | None = None,
-                num_classes: int | None = None) -> DecoderTables:
-    """Parse the manifest. ``num_classes`` overrides the literal output
-    width of sconv3 (the tables store 1)."""
-    if text is None:
-        text = _read_manifest_text()
-    # each section's (line number, line) pairs
-    sections: dict[str, list[tuple[int, str]]] = {}
-    current = None
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].rstrip()
-        if not line.strip():
-            continue
-        if line.startswith("["):
-            current = line.strip().strip("[]")
-            if current not in _SECTIONS:
-                raise ArchError(f"line {lineno}: unknown section {line!r}")
-            if current in sections:
-                raise ArchError(f"line {lineno}: repeated section {line!r}")
-            sections[current] = []
-        elif current is None:
-            raise ArchError(f"content before first section: {line!r}")
-        else:
-            sections[current].append((lineno, line.strip()))
-    for name in _SECTIONS:
-        if name not in sections:
-            raise ArchError(f"missing section [{name}]")
+def _after(fork: str, own: str) -> tuple[LayerSpec, ...]:
+    """The l0 branch after ``own``, its copy of the trunk conv ``fork``,
+    reading ``fork`` in its place."""
+    names = [layer.name for layer in _L0_BRANCH]
+    return tuple(replace(layer, inputs=tuple((fork if src == own else src, n)
+                                             for src, n in layer.inputs))
+                 for layer in _L0_BRANCH[names.index(own) + 1:])
 
-    def section(name):
-        return [line for _, line in sections[name]]
 
-    def kv_lines(name):
-        out = {}
-        for lineno, line in sections[name]:
-            key, eq, value = (part.strip() for part in line.partition("="))
-            if not eq:
-                raise ArchError(f"line {lineno}: expected key = value, got "
-                                f"{line!r}")
-            if key in out:
-                raise ArchError(f"line {lineno}: repeated key {key!r} in "
-                                f"[{name}]")
-            out[key] = value
-        return out
+# At levels l1-l3 the branch forks after an upsample conv of the trunk. That
+# conv is the last entry of the level's shared list, and the branch reads it
+# by name. A shared or branch layer may read only layers shared at its level.
+# This boundary reproduces the reported size differences between consecutive
+# sharing levels.
+_LEVELS = {
+    "l0": SharingLevel((), _L0_BRANCH + _head(
+        "upsconv5", "upsconv4", "upsconv3", "upsconv2", "upsconv1")),
+    "l1": SharingLevel(
+        ("upconv5", "iconv5", "upconv4"),
+        _after("upconv4", "upsconv4")
+        + _head("upconv5", "upconv4", "upsconv3", "upsconv2", "upsconv1")),
+    "l2": SharingLevel(
+        ("upconv5", "iconv5", "upconv4", "iconv4", "upconv3"),
+        _after("upconv3", "upsconv3")
+        + _head("upconv5", "upconv4", "upconv3", "upsconv2", "upsconv1")),
+    "l3": SharingLevel(
+        ("upconv5", "iconv5", "upconv4", "iconv4", "upconv3", "iconv3",
+         "upconv2"),
+        _after("upconv2", "upsconv2")
+        + _head("upconv5", "upconv4", "upconv3", "upconv2", "upsconv1")),
+    "l4": SharingLevel(
+        ("upconv5", "iconv5", "upconv4", "iconv4", "upconv3", "iconv3",
+         "upconv2", "iconv2", "upconv1", "iconv1"),
+        _head("upconv5", "upconv4", "upconv3", "upconv2", "upconv1")),
+}
 
-    encoder_channels = {}
-    for enc, spec in kv_lines("encoder_channels").items():
-        encoder_channels[enc] = {}
-        for tok in spec.split():
-            feature, colon, width = tok.partition(":")
-            if not colon:
-                raise ArchError(f"encoder {enc}: {tok!r} is not "
-                                "feature:channels")
-            encoder_channels[enc][feature] = _int(width, f"{enc} = {spec}")
-        missing = sorted(set(_ENCODER_STRIDES) - set(encoder_channels[enc]))
-        if missing:
-            raise ArchError(f"encoder {enc}: no channels for {missing}")
-    encoder_params = {enc: _int(v, f"{enc} = {v}")
-                      for enc, v in kv_lines("encoder_params").items()}
-    if encoder_params.keys() != encoder_channels.keys():
-        raise ArchError("[encoder_channels] names encoders "
-                        f"{sorted(encoder_channels)}, [encoder_params] "
-                        f"{sorted(encoder_params)}")
 
-    trunk = tuple(_parse_layer(line) for line in section("depth_decoder"))
-    trunk_names = {layer.name for layer in trunk}
-    shared_lists = {lvl: tuple(v.split())
-                    for lvl, v in kv_lines("sharing_levels").items()}
-    if shared_lists.keys() != set(LEVELS):
-        raise ArchError(f"[sharing_levels] names {sorted(shared_lists)}, "
-                        f"not the levels {list(LEVELS)}")
-
-    levels = {}
-    for lvl in LEVELS:
-        layers = [_parse_layer(line) for line in section(f"seg_{lvl}")]
-        if num_classes is not None:
-            layers = [replace(sp, out_channels=num_classes)
-                      if sp.name == "sconv3" else sp for sp in layers]
-        shared = shared_lists[lvl]
-        if not set(shared) <= trunk_names:
-            raise ArchError(f"{lvl}: shared layers "
-                            f"{sorted(set(shared) - trunk_names)} are not in "
-                            "the depth decoder")
-        levels[lvl] = SharingLevel(shared=shared, specific=tuple(layers))
-    tables = DecoderTables(trunk=trunk, levels=levels,
-                           encoder_channels=encoder_channels,
-                           encoder_params=encoder_params)
+def load_tables(num_classes: int | None = None) -> DecoderTables:
+    """The decoder tables, in fresh dicts, walked at every level.
+    ``num_classes`` overrides the literal output width of sconv3 (the tables
+    store 1)."""
+    levels = dict(_LEVELS)
+    if num_classes is not None:
+        levels = {lvl: replace(lv, specific=tuple(
+            replace(sp, out_channels=num_classes) if sp.name == "sconv3"
+            else sp for sp in lv.specific)) for lvl, lv in levels.items()}
+    tables = DecoderTables(
+        trunk=_TRUNK, levels=levels,
+        encoder_channels={enc: dict(zip(_ENCODER_STRIDES, widths, strict=True))
+                          for enc, (_, widths) in _ENCODERS.items()},
+        encoder_params={enc: n for enc, (n, _) in _ENCODERS.items()})
     for lvl in LEVELS:
         _walk(tables, lvl, dict.fromkeys(_ENCODER_STRIDES, 1))
     return tables
@@ -210,7 +195,11 @@ def load_tables(text: str | None = None,
 def _encoder_channels(tables: DecoderTables, encoder: str) -> dict[str, int]:
     if encoder not in tables.encoder_channels:
         raise ArchError(f"unknown encoder {encoder!r}")
-    return tables.encoder_channels[encoder]
+    channels = tables.encoder_channels[encoder]
+    missing = sorted(set(_ENCODER_STRIDES) - set(channels))
+    if missing:
+        raise ArchError(f"encoder {encoder}: no channels for {missing}")
+    return channels
 
 
 _Row = tuple[LayerSpec, str, int, Fraction]
@@ -224,6 +213,10 @@ def _walk(tables: DecoderTables, level: str,
     if level not in tables.levels:
         raise ArchError(f"unknown sharing level {level!r}")
     lv = tables.levels[level]
+    unknown = sorted(set(lv.shared) - {layer.name for layer in tables.trunk})
+    if unknown:
+        raise ArchError(f"{level}: shared layers {unknown} are not in the "
+                        "depth decoder")
     channels = dict(channels)
     strides = {name: Fraction(s) for name, s in _ENCODER_STRIDES.items()}
     parts = [(layer, "shared" if layer.name in lv.shared else "depth")

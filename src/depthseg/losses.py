@@ -374,12 +374,16 @@ def _prepare_cross_entropy(target, probs):
         raise LossError("probabilities must cover at least one pixel")
     if k == 0:
         raise LossError("probabilities must have at least one class")
-    # one einsum pass over the class axis; max propagates NaN, so a NaN
-    # probability fails the test
+    # one einsum pass over the class axis; max propagates NaN, so a NaN or
+    # infinite probability fails the test, and only then is it looked for
     dev = np.einsum("ijk->ij", probs)
     dev -= 1.0
     if not np.abs(dev, out=dev).max() <= 1e-5:
+        if not np.isfinite(probs).all():
+            raise LossError("probabilities must be finite")
         raise LossError("probability vectors must sum to 1 within 1e-5")
+    if probs.min() < 0:
+        raise LossError("probabilities must not be negative")
     target = np.asarray(target)
     if target.ndim == 2:
         geometry._same_shape(LossError, target, probs[:, :, 0])

@@ -121,8 +121,14 @@ def refine_segmentation_with_depth(y: np.ndarray, y_hat: np.ndarray,
     the depth-closest confident neighbor, when that depth gap is below the
     threshold. Every reached pixel becomes confident regardless."""
     y = np.asarray(y)
+    y_hat = np.asarray(y_hat)
     geometry._same_shape(RefineError, y, y_hat, depth)
     depth = geometry._as_depth(depth, RefineError)
+    for labels in (y, y_hat):
+        # only float labels need the check; its cast copy is dropped, so
+        # refined labels keep y's dtype and integer labels cost nothing
+        if labels.dtype.kind == "f":
+            geometry._as_labels(labels, RefineError)
     state = split_confidence_by_agreement(y, y_hat)
     threshold = _resolve_threshold(cfg, depth, state.confident)
     if impl == "parallel":

@@ -1,3 +1,6 @@
+import hashlib
+from dataclasses import replace
+
 import pytest
 
 from depthseg import arch
@@ -38,56 +41,42 @@ def test_num_classes_override():
     assert param_count(layer, 128) == 128 * 19 + 19
 
 
-def test_manifest_rejects_undefined_input():
-    bad = ("[encoder_channels]\n[encoder_params]\n[sharing_levels]\n"
-           + "".join(f"{lvl} =\n" for lvl in arch.LEVELS)
-           + "[depth_decoder]\nupconv5 | nowhere*2 | 3 | 256 | - | elu\n")
+def _with_inputs(layers, name, *inputs):
+    """``layers`` with the layer ``name`` reading ``inputs``."""
+    return tuple(replace(sp, inputs=inputs) if sp.name == name else sp
+                 for sp in layers)
+
+
+def _with_level(tables, level, **changes):
+    return replace(tables, levels={
+        **tables.levels, level: replace(tables.levels[level], **changes)})
+
+
+def test_manifest_rejects_undefined_input(tables):
+    bad = replace(tables, trunk=_with_inputs(tables.trunk, "upconv5",
+                                             ("nowhere", 2)))
     with pytest.raises(ArchError, match=r"l0/upconv5: input 'nowhere' not "
                                         r"defined earlier"):
-        load_tables(bad + "[seg_l0]\n[seg_l1]\n[seg_l2]\n[seg_l3]\n[seg_l4]\n")
+        arch.branch_param_totals(bad, "l0", "resnet18")
 
 
-def test_manifest_rejects_inputs_at_mixed_strides():
+def test_manifest_rejects_inputs_at_mixed_strides(tables):
     # upconv5 lands at stride 16 and econv3 at stride 8
-    text = arch._read_manifest_text().replace(
-        "iconv5  | upconv5 econv4 |", "iconv5  | upconv5 econv3 |")
+    bad = replace(tables, trunk=_with_inputs(tables.trunk, "iconv5",
+                                             ("upconv5", 1), ("econv3", 1)))
     with pytest.raises(ArchError, match=r"l0/iconv5: inputs must land at "
                                         r"one stride, got \['8', '16'\]"):
-        load_tables(text)
+        arch.branch_param_totals(bad, "l0", "resnet18")
 
 
-def test_manifest_rejects_encoder_without_a_feature():
-    text = arch._read_manifest_text().replace("econv3:128 ", "")
-    with pytest.raises(ArchError,
-                       match=r"encoder resnet18: no channels for \['econv3'\]"):
-        load_tables(text)
-
-
-def test_manifest_rejects_encoder_token_without_a_colon():
-    text = arch._read_manifest_text().replace("econv1:64 econv2:64",
-                                              "econv1 econv2:64")
-    with pytest.raises(ArchError, match=r"encoder resnet18: 'econv1' is not "
-                                        r"feature:channels"):
-        load_tables(text)
-
-
-@pytest.mark.parametrize("old, new, token", [
-    ("upconv5 | econv5*2       | 3 |", "upconv5 | econv5*2       | 3x |",
-     "3x"),
-    ("upconv5 | econv5*2 ", "upconv5 | econv5*x ", "x"),
-])
-def test_manifest_rejects_non_integer_kernel_or_factor(old, new, token):
-    text = arch._read_manifest_text().replace(old, new)
-    with pytest.raises(ArchError, match=rf"'{token}' is not an integer in "
-                                        r"line 'upconv5 \| econv5\*"):
-        load_tables(text)
-
-
-def test_manifest_rejects_missing_level_section():
-    text = arch._read_manifest_text()
-    text = text[:text.index("[seg_l3]")] + text[text.index("[seg_l4]"):]
-    with pytest.raises(ArchError, match=r"missing section \[seg_l3\]"):
-        load_tables(text)
+def test_manifest_rejects_encoder_without_a_feature(tables):
+    channels = dict(tables.encoder_channels["resnet18"])
+    del channels["econv3"]
+    bad = replace(tables, encoder_channels={**tables.encoder_channels,
+                                            "resnet18": channels})
+    with pytest.raises(ArchError, match=r"encoder resnet18: no channels for "
+                                        r"\['econv3'\]"):
+        arch.branch_param_totals(bad, "l0", "resnet18")
 
 
 @pytest.mark.parametrize("encoder", arch.ENCODERS)
@@ -145,11 +134,11 @@ def test_report_mentions_totals(tables):
     assert "25557032" in text
 
 
-def test_manifest_rejects_unknown_shared_layer():
-    text = arch._read_manifest_text().replace(
-        "l1 = upconv5 iconv5 upconv4", "l1 = upconv5 iconv5 upconv9")
-    with pytest.raises(ArchError, match=r"l1: shared layers \['upconv9'\]"):
-        load_tables(text)
+def test_manifest_rejects_unknown_shared_layer(tables):
+    bad = _with_level(tables, "l1", shared=("upconv5", "iconv5", "upconv9"))
+    with pytest.raises(ArchError, match=r"l1: shared layers \['upconv9'\] "
+                                        r"are not in the depth decoder"):
+        arch.branch_param_totals(bad, "l1", "resnet18")
 
 
 @pytest.mark.parametrize("level", arch.LEVELS)
@@ -168,56 +157,14 @@ def test_report_rows_add_up_to_branch_totals(tables, level, encoder):
     assert text.endswith(f"seg-specific params     {specific}")
 
 
-@pytest.mark.parametrize("old, new, bad_line, error", [
-    ("[sharing_levels]", "[sharing_level]", "[sharing_level]",
-     r"unknown section '\[sharing_level\]'"),
-    ("l2 = upconv5", "l2 upconv5",
-     "l2 upconv5 iconv5 upconv4 iconv4 upconv3",
-     r"expected key = value, got 'l2 upconv5"),
-    ("[sharing_levels]", "[seg_l3]\n[sharing_levels]", "[seg_l3]",
-     r"repeated section '\[seg_l3\]'"),
-    ("resnet50 = 25557032", "resnet50 = 25557032\nresnet50 = 1",
-     "resnet50 = 1", r"repeated key 'resnet50' in \[encoder_params\]"),
-], ids=["misspelled-section", "key-without-equals", "repeated-section",
-        "repeated-key"])
-def test_manifest_rejects_misread_lines(old, new, bad_line, error):
-    text = arch._read_manifest_text().replace(old, new)
-    lines = text.splitlines()
-    # the 1-based number of the last line that reads bad_line
-    lineno = len(lines) - lines[::-1].index(bad_line)
-    with pytest.raises(ArchError, match=rf"line {lineno}: {error}"):
-        load_tables(text)
-
-
-@pytest.mark.parametrize("old, new, error", [
-    ("[encoder_params]\nresnet18 = 11689512\nresnet50 = 25557032\n", "",
-     r"missing section \[encoder_params\]"),
-    ("resnet18 = 11689512\n", "",
-     r"\[encoder_channels\] names encoders \['resnet18', 'resnet50'\], "
-     r"\[encoder_params\] \['resnet50'\]"),
-    ("l0 =\n", "", r"\[sharing_levels\] names \['l1', 'l2', 'l3', 'l4'\], "
-                   r"not the levels"),
-], ids=["no-encoder-params", "encoders-differ", "level-not-named"])
-def test_manifest_rejects_missing_entries(old, new, error):
-    text = arch._read_manifest_text()
-    assert old in text
-    with pytest.raises(ArchError, match=error):
-        load_tables(text.replace(old, new))
-
-
 @pytest.mark.parametrize("call, error", [
     (lambda t: param_count(LayerSpec("conv", (("x", 1),), 3, 8, False, "elu"),
                            0), "in_channels must be >= 1"),
-    (lambda t: load_tables(arch._read_manifest_text().replace(
-        "| 1   | -  | sigmoid", "| 1   | sigmoid")), "malformed layer line"),
-    (lambda t: load_tables("l0 =\n" + arch._read_manifest_text()),
-     "content before first section: 'l0 ='"),
     (lambda t: arch.branch_param_totals(t, "l4", "resnet34"),
      "unknown encoder 'resnet34'"),
     (lambda t: arch.report(t, "l5", "resnet18"),
      "unknown sharing level 'l5'"),
-], ids=["in-channels", "layer-fields", "content-before-section",
-        "unknown-encoder", "unknown-level"])
+], ids=["in-channels", "unknown-encoder", "unknown-level"])
 def test_rejects_invalid_layers_and_queries(tables, call, error):
     with pytest.raises(ArchError, match=error):
         call(tables)
@@ -268,14 +215,39 @@ def test_output_shapes_are_pinned(tables):
     assert list(shapes.items()) == list(L2_RESNET50_SHAPES_192x640.items())
 
 
-@pytest.mark.parametrize("old, new, error", [
-    ("[seg_l1]\nisconv4  | upconv4 econv3 ", "[seg_l1]\nisconv4  | iconv4 econv3 ",
+@pytest.mark.parametrize("changes, error", [
+    (lambda lv: {"specific": _with_inputs(lv.specific, "isconv4",
+                                          ("iconv4", 1), ("econv3", 1))},
      r"l1/isconv4: input 'iconv4' is not shared at this level"),
-    ("l1 = upconv5 iconv5 upconv4", "l1 = upconv5 upconv4",
+    (lambda lv: {"shared": ("upconv5", "upconv4")},
      r"l1/upconv4: input 'iconv5' is not shared at this level"),
 ], ids=["branch-reads-depth-only", "shared-reads-depth-only"])
-def test_manifest_rejects_sharing_that_contradicts_the_graph(old, new, error):
-    text = arch._read_manifest_text()
-    assert text.count(old) == 1
+def test_manifest_rejects_sharing_that_contradicts_the_graph(tables, changes,
+                                                             error):
+    bad = _with_level(tables, "l1", **changes(tables.levels["l1"]))
     with pytest.raises(ArchError, match=error):
-        load_tables(text.replace(old, new))
+        arch.branch_param_totals(bad, "l1", "resnet18")
+
+
+# sha256 of each level's and encoder's report and its per-layer shapes at
+# 384x1280, levels outermost
+REPORTS_SHA256 = ("a292c191e36643888cfac0d24d28b41c"
+                  "296480989e51de78a38d060547eaf0e0")
+
+
+def test_every_report_and_shape_is_pinned(tables):
+    digest = hashlib.sha256()
+    for level in arch.LEVELS:
+        for encoder in arch.ENCODERS:
+            digest.update(arch.report(tables, level, encoder).encode())
+            digest.update(repr(arch.output_shapes(
+                tables, level, encoder, (384, 1280))).encode())
+    assert digest.hexdigest() == REPORTS_SHA256
+
+
+def test_each_load_returns_fresh_dicts(tables):
+    fresh = load_tables()
+    fresh.levels.clear()
+    fresh.encoder_channels["resnet18"].clear()
+    fresh.encoder_params.clear()
+    assert load_tables() == tables

@@ -356,7 +356,7 @@ def _nan_at(arr, index):
     ("smoothness", _nan_at(np.full((4, 4), 0.5, np.float32), (1, 2)),
      np.zeros((4, 4), np.float32), "finite"),
     ("cross-entropy", np.zeros((4, 4), np.int32),
-     _nan_at(np.full((4, 4, 2), 0.5, np.float32), (1, 2, 0)), "sum to 1"),
+     _nan_at(np.full((4, 4, 2), 0.5, np.float32), (1, 2, 0)), "finite"),
     ("cross-entropy", _nan_at(np.full((4, 4, 2), 0.5, np.float32), (1, 2, 0)),
      np.full((4, 4, 2), 0.5, np.float32), "soft target must be finite"),
 ], ids=["photometric-b", "photometric-a", "smoothness", "cross-entropy",

@@ -33,12 +33,3 @@ def test_numpy_is_the_only_declared_dependency():
         project = tomllib.load(f)["project"]
     assert project["dependencies"] == ["numpy>=1.24"]
 
-
-def test_package_data_ships_every_data_file():
-    tomllib = pytest.importorskip("tomllib")
-    with open(ROOT / "pyproject.toml", "rb") as f:
-        globs = tomllib.load(f)["tool"]["setuptools"]["package-data"][
-            "depthseg"]
-    data = {p for p in (PACKAGE / "data").rglob("*") if p.is_file()}
-    shipped = {p for pattern in globs for p in PACKAGE.glob(pattern)}
-    assert data and data <= shipped

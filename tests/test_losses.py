@@ -356,8 +356,19 @@ def test_cross_entropy_and_grad_reject_bad_targets(fn, target, error):
 def test_cross_entropy_and_grad_reject_nonfinite_probabilities(fn, bad):
     probs = np.full((4, 4, 2), 0.5)
     probs[1, 2, 0] = bad
-    with pytest.raises(LossError, match="sum to 1"):
+    with pytest.raises(LossError, match="finite"):
         fn(np.zeros((4, 4), int), probs)
+
+
+@pytest.mark.parametrize("fn", [cross_entropy, cross_entropy_grad])
+@pytest.mark.parametrize("soft", [False, True])
+def test_cross_entropy_and_grad_reject_negative_probabilities(fn, soft):
+    # every vector sums to 1, so only the sign check catches it
+    probs = np.full((2, 2, 2), 0.5)
+    probs[1, 0] = (1.5, -0.5)
+    target = np.full((2, 2, 2), 0.5) if soft else np.zeros((2, 2), int)
+    with pytest.raises(LossError, match="must not be negative"):
+        fn(target, probs)
 
 
 @pytest.mark.parametrize("fn", [cross_entropy, cross_entropy_grad])
@@ -604,14 +615,14 @@ def test_photometric_loss_of_a_warp_matches_expression_form():
 def test_cross_entropy_sum_check_tolerance(fn, soft):
     probs = np.full((4, 5, 3), 1 / 3)
     target = np.full((4, 5, 3), 1 / 3) if soft else np.zeros((4, 5), int)
-    for off, ok in ((2e-5, False), (-2e-5, False), (5e-6, True),
-                    (-5e-6, True), (np.nan, False)):
+    for off, error in ((2e-5, "sum to 1"), (-2e-5, "sum to 1"), (5e-6, None),
+                       (-5e-6, None), (np.nan, "finite")):
         bad = probs.copy()
         bad[2, 3, 1] += off
-        if ok:
+        if error is None:
             fn(target, bad)
         else:
-            with pytest.raises(LossError, match="sum to 1"):
+            with pytest.raises(LossError, match=error):
                 fn(target, bad)
 
 

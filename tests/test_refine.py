@@ -9,6 +9,7 @@ from depthseg.refine import (RefineConfig, RefineError, RefineState,
                              split_confidence_by_agreement,
                              split_confidence_by_consistency)
 from test_geometry import traced_peak
+from test_symmetry import BASELINE, kitti_frame
 
 
 def test_config_validation():
@@ -114,6 +115,20 @@ def test_seg_rejects_nonpositive_depth():
         refine_segmentation_with_depth(np.zeros((2, 2), int),
                                        np.zeros((2, 2), int),
                                        np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("bad, error", [(np.nan, "finite"),
+                                        (1.5, "whole numbers")])
+@pytest.mark.parametrize("which", [0, 1])
+def test_seg_rejects_float_labels_that_are_not_whole(bad, error, which):
+    labels = [np.zeros((2, 4)), np.zeros((2, 4))]
+    labels[which][1, 1] = bad
+    with pytest.raises(RefineError, match=error):
+        refine_segmentation_with_depth(*labels, np.ones((2, 4)))
+    # whole float labels keep their dtype
+    labels[which][1, 1] = 1.0
+    out = refine_segmentation_with_depth(*labels, np.ones((2, 4)))
+    assert out.dtype == np.float64
 
 
 def test_depth_fixture_clips_into_confident_range():
@@ -507,45 +522,14 @@ def test_first_frontier_holds_every_pixel_that_can_be_confirmed(share):
                           np.flatnonzero(refine._pad_flat(expect, False)))
 
 
-KITTI_H, KITTI_W = 72, 240
-
-
 def _kitti_like_inputs(seed):
-    """A 72x240 KITTI-like frame as the bench's mutual refinement builds
-    it: fx = 0.58 W, 0.54 m baseline, eight rect/disk objects at 3-30 m
-    over five object classes, depth bled by 4 px and two 10% label flips.
-    Returns the seg pass's inputs and the depth pass's states from the
-    refined labels."""
-    rng = np.random.default_rng(seed)
-    h, w = KITTI_H, KITTI_W
-    cam = geometry.Camera(0.58 * w, 1.92 * h, 0.5 * w - 0.5, 0.5 * h - 0.5)
-    objects = []
-    for i in range(8):
-        depth = float(rng.uniform(3.0, 30.0))
-        cls = i + 1 if i < 5 else int(rng.integers(1, 6))
-        if rng.random() < 0.5:
-            oh = int(rng.integers(h // 8, h // 2))
-            ow = int(rng.integers(w // 16, w // 4))
-            r0 = int(rng.integers(0, h - oh))
-            c0 = int(rng.integers(0, w - ow))
-            shape, params = "rect", (r0, c0, r0 + oh, c0 + ow)
-        else:
-            shape = "disk"
-            params = (rng.uniform(0, h), rng.uniform(0, w),
-                      rng.uniform(h / 16, h / 4))
-        objects.append(synth.ObjectSpec(shape, params, depth, cls,
-                                        int(rng.integers(2 ** 31))))
-    spec = synth.SceneSpec(h, w, cam, 0.54, 40.0, tuple(objects), 0,
-                           int(rng.integers(2 ** 31)))
-    left, right, depth, seg, _ = synth.render(spec)
-    bad_depth, bad_seg = synth.corrupt(depth, seg, synth.CorruptionSpec(
-        4, 0.1, int(rng.integers(2 ** 31))))
-    _, y_hat = synth.corrupt(depth, seg, synth.CorruptionSpec(
-        0, 0.1, int(rng.integers(2 ** 31))))
+    """``test_symmetry.kitti_frame(seed)``'s seg pass inputs and the depth
+    pass's states from its refined labels."""
+    cam, left, right, bad_depth, bad_seg, y_hat = kitti_frame(seed)
     y_ref = refine_segmentation_with_depth(bad_seg, y_hat, bad_depth)
     segmenter = synth.intensity_segmenter(64)
     warped, valid = geometry.warp(right, bad_depth,
-                                  geometry.Pose.stereo_baseline(0.54), cam)
+                                  geometry.Pose.stereo_baseline(BASELINE), cam)
     states = split_confidence_by_consistency(
         bad_depth, y_ref, segmenter(left), segmenter(warped), valid,
         np.unique(y_ref))
