@@ -171,12 +171,17 @@ def _window3(x: np.ndarray, op: np.ufunc) -> np.ndarray:
 
 
 def _check_map(arr: np.ndarray, error: type[Exception], message: str,
-               low: float = -np.inf):
+               low: float = -np.inf) -> tuple:
     """Raise ``error(message)`` unless ``arr`` is non-empty and every value
     lies strictly between ``low`` and +inf; ``low=0`` asks for a positive
-    map. min and max propagate NaN, so no temporary mask is made."""
-    if arr.size == 0 or not (low < arr.min() and arr.max() < np.inf):
+    map. Returns the min and max. They propagate NaN, so no temporary mask
+    is made."""
+    if arr.size == 0:
         raise error(message)
+    lo, hi = arr.min(), arr.max()
+    if not (low < lo and hi < np.inf):
+        raise error(message)
+    return lo, hi
 
 
 def _same_shape(error: type[Exception], *arrays):
@@ -204,15 +209,23 @@ def _as_image(img, error: type[Exception],
               name: str) -> tuple[np.ndarray, bool]:
     """``img`` as a non-empty, finite float64 (H, W, C) array, and whether
     it was (H, W)."""
-    img = np.asarray(img, dtype=np.float64)
+    img, squeeze, _ = _checked_image(np.asarray(img, dtype=np.float64),
+                                     error, name)
+    return img, squeeze
+
+
+def _checked_image(img: np.ndarray, error: type[Exception],
+                   name: str) -> tuple[np.ndarray, bool, tuple]:
+    """A non-empty, finite (H, W) or (H, W, C) array ``img`` as (H, W, C),
+    in its own dtype, whether it was (H, W), and its min and max."""
     if img.ndim not in (2, 3):
         raise error(f"{name} must be (H, W) or (H, W, C), got shape "
                     f"{img.shape}")
-    _check_map(img, error,
-               f"{name} must be non-empty and finite (shape {img.shape})")
+    value_range = _check_map(
+        img, error, f"{name} must be non-empty and finite (shape {img.shape})")
     if img.ndim == 2:
-        return img[:, :, None], True
-    return img, False
+        return img[:, :, None], True, value_range
+    return img, False, value_range
 
 
 def _as_depth(depth, error: type[Exception]) -> np.ndarray:

@@ -14,13 +14,24 @@ they can be checked against finite differences. Each loss and its gradient
 validate their inputs through one shared helper, so both reject the same
 inputs.
 
+Precision. The SSIM/L1 photometric kernels (``ssim_map``,
+``photometric_loss``, its gradient and ``multiscale_photometric``) run in
+float32 when both images are float32 and every value lies in [-1, 1], the
+dynamic range L = 1 that ``SSIM_C1`` = (0.01 L)**2 and ``SSIM_C2`` are set
+for, as Monodepth2's do; the SSIM map and the gradient are then float32.
+Float64 images, images of two dtypes and float32 images with a value
+outside [-1, 1] are computed in float64, with the bits of their float64
+cast; so is every other loss. The range is read from the min and max of
+the finiteness check, and a float32 image is not copied. Gradient checks
+use float64 images, so that their central differences stay meaningful.
+
 Cost model. An SSIM box sum, ``geometry._window3`` with ``np.add``, is
 O(HW) direct adds: a zero-padded 3-tap sum down the rows, then along the
 columns as one flat (H*W, C) array, each tap a contiguous in-place pass,
 then the first and last columns again, whose taps wrapped onto a
 neighboring row. The window pixel counts come in closed form and are held
 as uint8, since dividing by them gives the bits of dividing by their
-float64 values. The target image's window mean and variance are one unit
+float values. The target image's window mean and variance are one unit
 of work, which the SSIM terms take as given or compute. The terms form
 ``mu_b**2`` and ``mu_a*mu_b`` once each and share them, multiply the
 images into one product buffer, turn the moments into variances and the
@@ -30,11 +41,18 @@ the multi-scale loss's peak memory down. A mean over a single channel is
 that channel's view. The gradient forms ``d1*d2`` once and writes each
 partial derivative over a term it no longer reads. The photometric loss
 builds its per-pixel terms in place and averages the valid pixels through
-a boolean index. The multi-scale loss checks and converts both images once
-and computes the target's window terms once for its four scales; each
-scale runs the public upsample, depth conversion and warp, then the
-private photometric kernel. It holds no scale's depth or warp into the
-next. The hint loss with no mask averages every pixel, with no all-true
+a boolean index. Every temporary of these kernels has the images' dtype,
+so float32 images move half the bytes of float64 ones: at 192x640 the
+traced peaks of ``ssim_map`` and the gradient are about 4.1 and 5.1
+H*W*8 bytes for float32 images and 8.1 and 10.1 for float64 ones. The
+multi-scale loss checks both images once, converts the target once and
+the source not at all, and computes the target's window terms once for
+its four scales; each scale runs the public upsample, depth conversion
+and warp, then the private photometric kernel on the warp's float32
+output, cast to float64 only on the float64 path. The warps work in
+float64 whatever the images' dtype, so they set its peak (about 11.1 for
+float32 images, 12.1 for float64). It holds no scale's depth or warp into
+the next. The hint loss with no mask averages every pixel, with no all-true
 mask. Cross-entropy with integer labels reads and writes only each pixel's
 labelled probability, one flat gather of H*W entries, not an (H, W, K)
 one-hot map; its sum-to-one check is one ``einsum`` over the class axis.
@@ -92,12 +110,27 @@ SSIM_C1 = 0.01 ** 2
 SSIM_C2 = 0.03 ** 2
 
 
+def _photometric_image(img) -> tuple[np.ndarray, bool]:
+    """``img`` checked as ``geometry._as_image`` checks it, as an (H, W, C)
+    array, and whether it is float32 with every value in [-1, 1], the
+    dynamic range that ``SSIM_C1`` and ``SSIM_C2`` are set for. A float32
+    image is returned as it is, any other converted to float64."""
+    img = np.asarray(img)
+    if img.dtype != np.float32:
+        img = np.asarray(img, dtype=np.float64)
+    img, _, (lo, hi) = geometry._checked_image(img, LossError, "images")
+    return img, img.dtype == np.float32 and -1.0 <= lo and hi <= 1.0
+
+
 def _pair(a, b) -> tuple[np.ndarray, np.ndarray]:
-    """Both images as float64 (H, W, C) arrays of one shape."""
-    a, _ = geometry._as_image(a, LossError, "images")
-    b, _ = geometry._as_image(b, LossError, "images")
+    """Both images as (H, W, C) arrays of one shape and one dtype: float32
+    when both are float32 images in [-1, 1], else float64."""
+    a, a_fast = _photometric_image(a)
+    b, b_fast = _photometric_image(b)
     geometry._same_shape(LossError, a, b)
-    return a, b
+    if a_fast and b_fast:
+        return a, b
+    return a.astype(np.float64, copy=False), b.astype(np.float64, copy=False)
 
 
 def _valid_mask(mask, shape: tuple) -> np.ndarray:
@@ -130,8 +163,8 @@ def _window_counts(n: int) -> np.ndarray:
 def _target_terms(a: np.ndarray):
     """The target's SSIM window terms: the window pixel counts, as a uint8
     (H, W, 1) array (at most 9, and dividing by them gives the bits of
-    dividing by their float64 values), the window mean and the window
-    variance E[a^2] - mu_a^2."""
+    dividing by their values in the images' dtype), the window mean and
+    the window variance E[a^2] - mu_a^2."""
     h, w, _ = a.shape
     count = (_window_counts(h)[:, None]
              * _window_counts(w)).astype(np.uint8)[:, :, None]
@@ -200,7 +233,7 @@ def ssim_map(a, b) -> np.ndarray:
 
 
 def _photometric(a, b, mask, w: LossWeights, target=None) -> float:
-    """``photometric_loss`` of checked float64 (H, W, C) images and a
+    """``photometric_loss`` of checked (H, W, C) images of one dtype and a
     checked mask; ``target`` as for ``_ssim_terms``."""
     # each term built in place; the boolean index selects the pixels of
     # mask, in raster order
@@ -230,7 +263,7 @@ def photometric_loss_grad(img_t, img_st, mask=None,
     channels = a.shape[2]
     # upstream gradient into the per-pixel, per-channel SSIM values,
     # (H, W, 1) for every channel
-    g_pix = mask.astype(np.float64)
+    g_pix = mask.astype(a.dtype)
     g_pix /= n_valid
     g_ssim = (-w.gamma / 2.0 / channels) * g_pix[:, :, None]
     count, mu_a, mu_b, n1, n2, d1, d2 = _ssim_terms(a, b)
@@ -461,18 +494,21 @@ def multiscale_photometric(disparities, img_t, img_s, pose, cam,
     conversion and warping."""
     if len(disparities) != 4:
         raise LossError("expected disparity maps at 4 scales")
-    img_t, _ = geometry._as_image(img_t, LossError, "images")
+    img_t, t_fast = _photometric_image(img_t)
     h, w_img = img_t.shape[:2]
     if h < 8 or w_img < 8:
         raise LossError("images must be at least 8x8, so that the 1/8 "
                         f"scale holds a pixel; got {h}x{w_img}")
     # the target checked and converted once for the four scales, and its
     # window terms computed once. The source is checked here and handed to
-    # each warp as the caller gave it, so no float64 copy of it is held
-    # beside the warp's padded one; the float32 warp is finite where the
-    # source is
-    geometry._same_shape(
-        LossError, img_t, geometry._as_image(img_s, LossError, "images")[0])
+    # each warp as the caller gave it, so no copy of it is held beside the
+    # warp's padded one; the float32 warp is finite where the source is,
+    # and lies in [-1, 1] where the source does
+    src, s_fast = _photometric_image(img_s)
+    geometry._same_shape(LossError, img_t, src)
+    del src
+    dtype = np.float32 if t_fast and s_fast else np.float64
+    img_t = img_t.astype(dtype, copy=False)
     target = _target_terms(img_t)
     losses = []
     for scale, disp in enumerate(disparities):
@@ -485,7 +521,7 @@ def multiscale_photometric(disparities, img_t, img_s, pose, cam,
             geometry.upsample_bilinear(disp, (h, w_img)), depth_params)
         warped, valid = geometry.warp(img_s, depth, pose, cam)
         del depth
-        warped = warped.astype(np.float64).reshape(img_t.shape)
+        warped = warped.astype(dtype, copy=False).reshape(img_t.shape)
         losses.append(_photometric(img_t, warped,
                                    _valid_mask(valid, (h, w_img)), w, target))
         del warped, valid

@@ -96,10 +96,18 @@ class RefineState:
 
 def split_confidence_by_agreement(y: np.ndarray,
                                   y_hat: np.ndarray) -> RefineState:
-    """Partition pseudo-label pixels by agreement with the prediction."""
+    """Partition pseudo-label pixels by agreement with the prediction.
+    Float labels must be finite whole numbers that fit in int32."""
     y = np.asarray(y)
     y_hat = np.asarray(y_hat)
     geometry._same_shape(RefineError, y, y_hat)
+    if y.size == 0:
+        raise RefineError("label maps must be non-empty")
+    for labels in (y, y_hat):
+        # only float labels need the check; its cast copy is dropped, so
+        # integer labels cost nothing
+        if labels.dtype.kind == "f":
+            geometry._as_labels(labels, RefineError)
     agree = y == y_hat
     return RefineState(confident=agree, unreliable=~agree)
 
@@ -124,11 +132,7 @@ def refine_segmentation_with_depth(y: np.ndarray, y_hat: np.ndarray,
     y_hat = np.asarray(y_hat)
     geometry._same_shape(RefineError, y, y_hat, depth)
     depth = geometry._as_depth(depth, RefineError)
-    for labels in (y, y_hat):
-        # only float labels need the check; its cast copy is dropped, so
-        # refined labels keep y's dtype and integer labels cost nothing
-        if labels.dtype.kind == "f":
-            geometry._as_labels(labels, RefineError)
+    # the split checks the labels; refined labels keep y's dtype
     state = split_confidence_by_agreement(y, y_hat)
     threshold = _resolve_threshold(cfg, depth, state.confident)
     if impl == "parallel":

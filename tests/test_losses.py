@@ -484,6 +484,8 @@ def test_cross_entropy_and_grad_reject_zero_classes(fn):
 # The direct expression forms of the SSIM terms, the SSIM map, the
 # photometric loss and its gradient: out-of-place temporaries, a box sum
 # that copies before it adds, and every product formed where it is used.
+# They compute in the images' dtype, as the kernels do for images of one
+# dtype.
 
 def expression_box_sum(x):
     rows = x.copy()
@@ -498,7 +500,7 @@ def expression_box_sum(x):
 def expression_ssim_terms(a, b):
     h, w, _ = a.shape
     count = (losses._window_counts(h)[:, None]
-             * losses._window_counts(w))[:, :, None]
+             * losses._window_counts(w))[:, :, None].astype(a.dtype)
     mu_a = expression_box_sum(a) / count
     mu_b = expression_box_sum(b) / count
     e_aa = expression_box_sum(a * a) / count
@@ -521,7 +523,7 @@ def expression_photometric(a, b, mask, w):
                  + (1.0 - w.gamma) * np.abs(a - b).mean(axis=2))
     loss = float(per_pixel[mask].mean())
     channels = a.shape[2]
-    g_pix = mask.astype(np.float64) / int(mask.sum())
+    g_pix = mask.astype(a.dtype) / int(mask.sum())
     g_ssim = (-w.gamma / 2.0 / channels) * g_pix[:, :, None]
     g_ssim = np.broadcast_to(g_ssim, a.shape).copy()
     g_n1 = g_ssim * n2 / (d1 * d2)
@@ -563,15 +565,20 @@ def test_ssim_and_photometric_match_expression_form_bitwise(shape):
 
 
 def test_ssim_map_and_gradient_peak_memory():
-    # float32 images at 192x640, in units of H*W*8 bytes. Out-of-place
-    # SSIM terms peaked at 17.0 for ssim_map and 23.2 for the gradient;
-    # shared products and in-place terms at 11.0 and 13.2
+    # images at 192x640, in units of H*W*8 bytes. Out-of-place SSIM terms
+    # peaked at 17.0 for ssim_map and 23.2 for the gradient of float32
+    # images converted to float64; shared products and in-place terms at
+    # 11.0 and 13.2, and at 8.13 and 10.13 for float64 images. Float32
+    # images in [-1, 1], computed in float32, peak at 4.13 and 5.13
     rng = np.random.default_rng(18)
     h, w = 192, 640
     a = rng.random((h, w)).astype(np.float32)
     b = rng.random((h, w)).astype(np.float32)
     mask = rng.random((h, w)) < 0.9
     unit = h * w * 8
+    assert traced_peak(ssim_map, a, b) <= 4.6 * unit
+    assert traced_peak(photometric_loss_grad, a, b, mask) <= 5.6 * unit
+    a, b = a.astype(np.float64), b.astype(np.float64)
     assert traced_peak(ssim_map, a, b) <= 12 * unit
     assert traced_peak(photometric_loss_grad, a, b, mask) <= 14 * unit
 
@@ -592,7 +599,9 @@ def test_box_sum_matches_expression_form_bitwise(h, w, c):
 
 def test_photometric_loss_of_a_warp_matches_expression_form():
     # a float32 warp and its valid mask, as multiscale_photometric passes
-    # them: the mean is over the same pixels in the same order
+    # them: the mean is over the same pixels in the same order. Float32
+    # images in [-1, 1] are computed in float32; float64 and mixed images
+    # in float64
     rng = np.random.default_rng(21)
     h, w = 24, 80
     img_t = rng.random((h, w)).astype(np.float32)
@@ -602,12 +611,16 @@ def test_photometric_loss_of_a_warp_matches_expression_form():
     warped, valid = geometry.warp(img_s, depth,
                                   geometry.Pose.stereo_baseline(0.54), cam)
     assert warped.dtype == np.float32 and 0 < valid.sum() < valid.size
-    a = img_t.astype(np.float64)[:, :, None]
-    b = warped.astype(np.float64)[:, :, None]
+    t64, w64 = img_t.astype(np.float64), warped.astype(np.float64)
     for gamma in (0.0, 0.85, 1.0):
         weights = LossWeights(gamma=gamma)
-        _, want, _ = expression_photometric(a, b, valid, weights)
+        _, want, _ = expression_photometric(
+            img_t[:, :, None], warped[:, :, None], valid, weights)
         assert photometric_loss(img_t, warped, valid, weights) == want
+        _, want, _ = expression_photometric(
+            t64[:, :, None], w64[:, :, None], valid, weights)
+        for pair in ((t64, w64), (img_t, w64), (t64, warped)):
+            assert photometric_loss(*pair, valid, weights) == want
 
 
 @pytest.mark.parametrize("soft", [False, True])
@@ -654,21 +667,104 @@ def test_multiscale_photometric_matches_expression_form_end_to_end():
     # runs: the oracle upsample and warp, the depth conversion as one
     # expression and the expression photometric loss. A reorder anywhere
     # on the path changes the float
+    # float32 images in [-1, 1] are computed in float32, float64 images
+    # in float64
     h, w = 48, 160
     cam, left, right, pyramid = loss_step_inputs(h, w)
+    assert left.dtype == right.dtype == np.float32
     pose = geometry.Pose.stereo_baseline(0.54)
-    a = left.astype(np.float64)[:, :, None]
-    want = []
-    for disp in pyramid:
-        full = oracle_upsample_bilinear(disp, (h, w)).astype(np.float64)
-        depth = 1.0 / (DEPTH_PARAMS.c1 * full + DEPTH_PARAMS.c2)
-        warped, valid = oracle_warp(right, depth, pose, cam)
-        assert valid.any()
-        b = warped.astype(np.float64)[:, :, None]
-        want.append(expression_photometric(a, b, valid, LossWeights())[1])
+    for dtype in (np.float32, np.float64):
+        a = left.astype(dtype)[:, :, None]
+        want = []
+        for disp in pyramid:
+            full = oracle_upsample_bilinear(disp, (h, w)).astype(np.float64)
+            depth = 1.0 / (DEPTH_PARAMS.c1 * full + DEPTH_PARAMS.c2)
+            warped, valid = oracle_warp(right, depth, pose, cam)
+            assert valid.any()
+            b = warped.astype(dtype)[:, :, None]
+            want.append(expression_photometric(a, b, valid,
+                                               LossWeights())[1])
+        got = multiscale_photometric(pyramid, left.astype(dtype),
+                                     right.astype(dtype), pose, cam,
+                                     DEPTH_PARAMS)
+        assert got == float(np.mean(want))
+
+
+def _photometric_outputs(a, b, mask):
+    """ssim_map, photometric_loss as float64 and its gradient."""
+    return (ssim_map(a, b), np.float64(photometric_loss(a, b, mask)),
+            photometric_loss_grad(a, b, mask))
+
+
+def test_photometric_kernels_run_in_float32_for_float32_images_in_range():
+    # float32 images with every value in [-1, 1], the dynamic range that
+    # SSIM_C1 and SSIM_C2 are set for, are computed in float32; float64,
+    # mixed and out-of-range float32 images give the bytes of their
+    # float64 cast
+    rng = np.random.default_rng(34)
+    h, w = 12, 20
+    a = rng.uniform(-1.0, 1.0, (h, w, 2)).astype(np.float32)
+    b = rng.uniform(-1.0, 1.0, (h, w, 2)).astype(np.float32)
+    a[0, 0], b[0, 0] = -1.0, 1.0
+    mask = rng.random((h, w)) < 0.7
+    ssim, _, grad = _photometric_outputs(a, b, mask)
+    assert ssim.dtype == grad.dtype == np.float32
+    pairs = [(a, b.astype(np.float64)), (a.astype(np.float64), b),
+             (a.astype(np.float16), b)]
+    above = np.nextafter(np.float32(1.0), np.float32(2.0))
+    for bad in (above, -above, np.float32(1e30)):
+        far = b.copy()
+        far[3, 4, 1] = bad
+        pairs += [(a, far), (far, a)]
+    for pair in pairs:
+        assert_bitwise(
+            _photometric_outputs(*pair, mask),
+            _photometric_outputs(*(x.astype(np.float64) for x in pair),
+                                 mask))
+
+
+def test_multiscale_photometric_keeps_float64_for_other_images():
+    # mixed and out-of-range float32 images give the loss of their float64
+    # cast, the loss of in-range float32 images differs from it
+    h, w = 32, 96
+    cam, left, right, pyramid = loss_step_inputs(h, w)
+    pose = geometry.Pose.stereo_baseline(0.54)
+
+    def loss(l, r):
+        return np.float64(multiscale_photometric(pyramid, l, r, pose, cam,
+                                                 DEPTH_PARAMS)).tobytes()
+
+    l64, r64 = left.astype(np.float64), right.astype(np.float64)
+    assert loss(left, right) != loss(l64, r64)
+    assert loss(left, r64) == loss(l64, right) == loss(l64, r64)
+    l2, r2 = 2 * left, 2 * right
+    assert l2.dtype == np.float32
+    assert loss(l2, right) == loss(l2.astype(np.float64), r64)
+    assert loss(left, r2) == loss(l64, r2.astype(np.float64))
+
+
+def test_float32_loss_and_gradient_are_close_to_float64():
+    # the loss step's frames at 192x640: the float32 kernels move the loss
+    # by at most 1e-6 relative, and the gradient by at most 1e-4 of its
+    # largest magnitude
+    h, w = 192, 640
+    cam, left, right, pyramid = loss_step_inputs(h, w)
+    pose = geometry.Pose.stereo_baseline(0.54)
+    l64, r64 = left.astype(np.float64), right.astype(np.float64)
+    want = multiscale_photometric(pyramid, l64, r64, pose, cam, DEPTH_PARAMS)
     got = multiscale_photometric(pyramid, left, right, pose, cam,
                                  DEPTH_PARAMS)
-    assert got == float(np.mean(want))
+    assert abs(got - want) <= 1e-6 * abs(want)
+    depth = geometry.disparity_to_depth(pyramid[0], DEPTH_PARAMS)
+    warped, valid = geometry.warp(right, depth, pose, cam)
+    w64 = warped.astype(np.float64)
+    want = photometric_loss(l64, w64, valid)
+    assert abs(photometric_loss(left, warped, valid) - want) \
+        <= 1e-6 * abs(want)
+    want = photometric_loss_grad(l64, w64, valid)
+    got = photometric_loss_grad(left, warped, valid)
+    assert got.dtype == np.float32
+    assert np.abs(got - want).max() <= 1e-4 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("channels", [None, 3])
@@ -722,16 +818,22 @@ def test_upsample_and_multiscale_photometric_peak_memory():
     # its multiscale_photometric at 15.01. The same-shape cast and the
     # row-factored upsample peak at 0.50, 3.78, 2.84 and 2.61, and the
     # loss step, which holds no scale's depth or warp into the next, at
-    # 13.88
+    # 13.88 (12.08 for float64 images). Float32 images in [-1, 1],
+    # computed in float32, peak at 11.08: the warps' float64 work is the
+    # peak
     h, w = 192, 640
     unit = h * w * 8
     cam, left, right, pyramid = loss_step_inputs(h, w)
     for disp, bound in zip(pyramid, (0.6, 3.9, 2.95, 2.7)):
         assert traced_peak(geometry.upsample_bilinear, disp, (h, w)) \
             <= bound * unit
-    assert traced_peak(multiscale_photometric, pyramid, left, right,
-                       geometry.Pose.stereo_baseline(0.54), cam,
-                       DEPTH_PARAMS) <= 13.9 * unit
+    pose = geometry.Pose.stereo_baseline(0.54)
+    assert left.dtype == right.dtype == np.float32
+    assert traced_peak(multiscale_photometric, pyramid, left, right, pose,
+                       cam, DEPTH_PARAMS) <= 11.6 * unit
+    assert traced_peak(multiscale_photometric, pyramid,
+                       left.astype(np.float64), right.astype(np.float64),
+                       pose, cam, DEPTH_PARAMS) <= 13.9 * unit
 
 
 @pytest.mark.parametrize("fn", [ssim_map, photometric_loss,

@@ -40,6 +40,28 @@ def test_split_by_agreement():
     assert (st.confident ^ st.unreliable).all()
 
 
+@pytest.mark.parametrize("bad, error", [(np.nan, "finite"),
+                                        (2.5, "whole numbers"),
+                                        (3e9, "fit in int32")])
+@pytest.mark.parametrize("which", [0, 1])
+def test_split_by_agreement_rejects_bad_float_labels(bad, error, which):
+    labels = [np.ones((2, 2)), np.ones((2, 2))]
+    labels[which][0, 0] = bad
+    with pytest.raises(RefineError, match=error):
+        split_confidence_by_agreement(*labels)
+    # the same map compared with itself
+    with pytest.raises(RefineError, match=error):
+        split_confidence_by_agreement(labels[which], labels[which])
+
+
+@pytest.mark.parametrize("dtype", [int, np.float32])
+def test_split_by_agreement_rejects_empty_label_maps(dtype):
+    for shape in ((0, 3), (3, 0)):
+        y = np.zeros(shape, dtype)
+        with pytest.raises(RefineError, match="non-empty"):
+            split_confidence_by_agreement(y, y)
+
+
 def test_seg_fixture_small_threshold_keeps_label():
     y = np.array([[0, 1, 0]])
     y_hat = np.array([[0, 0, 0]])
