@@ -194,14 +194,19 @@ def _same_shape(error: type[Exception], *arrays):
 def _as_labels(labels: np.ndarray, error: type[Exception],
                dtype=np.int32) -> np.ndarray:
     """A non-empty ``labels`` array cast to ``dtype``, an integer type at
-    least as wide as int32. Float labels must be finite whole numbers that
-    fit in int32, so that the cast changes no value; integer labels are
-    cast unchecked."""
+    least as wide as int32, so that the cast changes no value. Float labels
+    must be finite whole numbers that fit in int32, and integer labels of a
+    type that does not cast safely must fit in ``dtype``; labels that cast
+    safely are cast unchecked."""
     if labels.dtype.kind == "f":
         if not (-2.0 ** 31 <= labels.min() and labels.max() < 2.0 ** 31):
             raise error("labels must be finite and fit in int32")
         if not np.array_equal(labels, np.trunc(labels)):
             raise error("labels must be whole numbers")
+    elif not np.can_cast(labels.dtype, dtype):
+        info = np.iinfo(dtype)
+        if not info.min <= int(labels.min()) <= int(labels.max()) <= info.max:
+            raise error(f"labels must fit in {info.dtype}")
     return labels.astype(dtype)
 
 

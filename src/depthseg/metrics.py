@@ -81,13 +81,16 @@ def evaluate_depth(pred, gt, gt_valid=None,
 
 def reprojection_error(tracked, gt) -> tuple[float, float]:
     """Mean and population standard deviation of the Euclidean distances
-    between tracked 2D points and their ground-truth positions. A NaN or
-    infinite coordinate in either list raises ``MetricsError``."""
-    tracked = np.asarray(tracked, dtype=np.float64).reshape(-1, 2)
-    gt = np.asarray(gt, dtype=np.float64).reshape(-1, 2)
+    between tracked 2D points and their ground-truth positions, two (N, 2)
+    lists. A NaN or infinite coordinate in either list raises
+    ``MetricsError``."""
+    tracked = np.asarray(tracked, dtype=np.float64)
+    gt = np.asarray(gt, dtype=np.float64)
     geometry._same_shape(MetricsError, tracked, gt)
-    if tracked.shape[0] == 0:
+    if tracked.size == 0:
         raise MetricsError("empty point lists")
+    if tracked.ndim != 2 or tracked.shape[1] != 2:
+        raise MetricsError(f"point lists must be (N, 2), got {tracked.shape}")
     for points in (tracked, gt):
         geometry._check_map(points, MetricsError, "points must be finite")
     dist = np.linalg.norm(tracked - gt, axis=1)

@@ -29,7 +29,14 @@ Each pass has two interchangeable implementations:
   depth pass runs one wavefront for all classes over a per-pixel
   class-index map;
 * a plain per-pixel simulator (``impl="reference"``) used as the equivalence
-  oracle in tests; it runs the depth pass one class at a time.
+  oracle in tests. Both passes run the one simulator (``_simulate``), which
+  owns the iteration cap, the previous-state snapshot, the neighbor test
+  and the stopping rule; each pass gives it only its update rule. The
+  segmentation rule takes the label of the depth-closest confident
+  neighbor (the earliest offset on a tie) when that gap is below the
+  threshold, and keeps the pixel's own label otherwise. The depth rule
+  clips the pixel into its confident neighbors' range, one class at a
+  time.
 
 Outputs of the two are bitwise identical.
 """
@@ -138,7 +145,11 @@ def refine_segmentation_with_depth(y: np.ndarray, y_hat: np.ndarray,
     if impl == "parallel":
         return _refine_seg_parallel(y, state.confident, depth, threshold, cfg)
     if impl == "reference":
-        return _refine_seg_reference(y, state.confident, depth, threshold, cfg)
+        def closest(labels, p, nbs):
+            # the depth-closest neighbor, the earliest offset on a tie
+            q = min(nbs, key=lambda q: abs(depth[p] - depth[q]))
+            return labels[q if abs(depth[p] - depth[q]) < threshold else p]
+        return _simulate(y, state.confident, state.unreliable, cfg, closest)
     raise RefineError(f"unknown impl {impl!r}")
 
 
@@ -149,6 +160,37 @@ def _iterations(cfg: RefineConfig):
     if cfg.max_iterations is None:
         return itertools.count()
     return range(cfg.max_iterations)
+
+
+def _simulate(values, confident, open_, cfg, update):
+    """The plain per-pixel oracle of both passes. Each iteration visits, in
+    raster order, every ``open_`` pixel not yet confident that has a
+    confident neighbor in the previous iteration's state. The pixel takes
+    ``update(prev, pixel, neighbors)``, with ``prev`` the previous
+    iteration's values and ``neighbors`` its confident neighbors in
+    ``geometry._NEIGHBOR_OFFSETS`` order, and becomes confident."""
+    values = values.copy()
+    conf = confident.copy()
+    h, w = values.shape
+    for _ in _iterations(cfg):
+        prev, prev_conf = values.copy(), conf.copy()
+        for i, j in np.argwhere(open_ & ~prev_conf).tolist():
+            nbs = [(i + dr, j + dc) for dr, dc in geometry._NEIGHBOR_OFFSETS
+                   if 0 <= i + dr < h and 0 <= j + dc < w
+                   and prev_conf[i + dr, j + dc]]
+            if nbs:
+                values[i, j] = update(prev, (i, j), nbs)
+                conf[i, j] = True
+        if np.array_equal(conf, prev_conf):
+            break
+    return values
+
+
+def _clip(vals, p, nbs):
+    """The depth pass's rule: ``vals[p]`` clipped into the range of its
+    confident neighbors' values."""
+    nb_vals = [vals[q] for q in nbs]
+    return max(min(vals[p], max(nb_vals)), min(nb_vals))
 
 
 def _pad_flat(arr: np.ndarray, fill=0) -> np.ndarray:
@@ -238,41 +280,6 @@ def _refine_seg_parallel(y, confident, depth, threshold, cfg):
     return _unpad(labels, depth.shape)
 
 
-def _refine_seg_reference(y, confident, depth, threshold, cfg):
-    labels = y.copy()
-    conf = confident.copy()
-    h, w = depth.shape
-    for _ in _iterations(cfg):
-        prev_labels = labels.copy()
-        prev_conf = conf.copy()
-        changed = False
-        for i in range(h):
-            for j in range(w):
-                if prev_conf[i, j]:
-                    continue
-                best_diff = np.inf
-                best_label = None
-                for dr, dc in geometry._NEIGHBOR_OFFSETS:
-                    ni, nj = i + dr, j + dc
-                    if not (0 <= ni < h and 0 <= nj < w):
-                        continue
-                    if not prev_conf[ni, nj]:
-                        continue
-                    diff = abs(depth[i, j] - depth[ni, nj])
-                    if diff < best_diff:
-                        best_diff = diff
-                        best_label = prev_labels[ni, nj]
-                if best_label is None:
-                    continue
-                if best_diff < threshold:
-                    labels[i, j] = best_label
-                conf[i, j] = True
-                changed = True
-        if not changed or conf.all():
-            break
-    return labels
-
-
 def split_confidence_by_consistency(depth: np.ndarray, y_refined: np.ndarray,
                                     y_t: np.ndarray, y_st: np.ndarray,
                                     warp_valid: np.ndarray,
@@ -288,6 +295,9 @@ def split_confidence_by_consistency(depth: np.ndarray, y_refined: np.ndarray,
     """
     y_refined = np.asarray(y_refined)
     geometry._same_shape(RefineError, depth, y_refined, y_t, y_st, warp_valid)
+    warp_valid = np.asarray(warp_valid)
+    if warp_valid.dtype != bool:
+        raise RefineError(f"warp_valid must be bool, got {warp_valid.dtype}")
     for c in classes:
         if not (isinstance(c, numbers.Integral)
                 or isinstance(c, numbers.Real) and float(c).is_integer()):
@@ -295,7 +305,7 @@ def split_confidence_by_consistency(depth: np.ndarray, y_refined: np.ndarray,
     classes = [int(c) for c in classes]
     if len(set(classes)) != len(classes):
         raise RefineError("duplicate class ids")
-    consistent = (np.asarray(y_t) == np.asarray(y_st)) & np.asarray(warp_valid)
+    consistent = (np.asarray(y_t) == np.asarray(y_st)) & warp_valid
     states = []
     covered = 0
     for k in classes:
@@ -340,10 +350,11 @@ def refine_depth_with_segmentation(depth: np.ndarray,
     if impl == "parallel":
         return _refine_depth_parallel(depth, owner, confident, cfg)
     if impl == "reference":
+        # a class reads only its own confident pixels and writes only its
+        # own unreliable ones, so the classes run in turn on one array
         out = depth.copy()
         for st in states:
-            vals, mask = _refine_depth_class_reference(depth, st, cfg)
-            out[mask] = vals[mask]
+            out = _simulate(out, st.confident, st.unreliable, cfg, _clip)
         return out
     raise RefineError(f"unknown impl {impl!r}")
 
@@ -383,41 +394,6 @@ def _refine_depth_parallel(depth, owner, confident, cfg):
             np.minimum(vals[pushers], hi.compress(keep)), lo.compress(keep))
         open_owner[pushers] = -1
     return _unpad(vals, depth.shape)
-
-
-def _refine_depth_class_reference(depth, st, cfg):
-    vals = depth.copy()
-    conf = st.confident.copy()
-    unrel = st.unreliable.copy()
-    class_mask = st.confident | st.unreliable
-    h, w = depth.shape
-    for _ in _iterations(cfg):
-        prev_vals = vals.copy()
-        prev_conf = conf.copy()
-        changed = False
-        for i in range(h):
-            for j in range(w):
-                if not unrel[i, j]:
-                    continue
-                c_min = np.inf
-                c_max = -np.inf
-                for dr, dc in geometry._NEIGHBOR_OFFSETS:
-                    ni, nj = i + dr, j + dc
-                    if not (0 <= ni < h and 0 <= nj < w):
-                        continue
-                    if not prev_conf[ni, nj]:
-                        continue
-                    c_min = min(c_min, prev_vals[ni, nj])
-                    c_max = max(c_max, prev_vals[ni, nj])
-                if not np.isfinite(c_min):
-                    continue
-                vals[i, j] = max(min(vals[i, j], c_max), c_min)
-                conf[i, j] = True
-                unrel[i, j] = False
-                changed = True
-        if not changed:
-            break
-    return vals, class_mask
 
 
 Segmenter = Callable[[np.ndarray], np.ndarray]

@@ -53,6 +53,14 @@ def _check_integers(spec, *names):
             raise SynthError(f"{name} must be an integer, not {value!r}")
 
 
+def _check_class_id(spec, name):
+    """Raise ``SynthError`` unless the integer field ``name`` of ``spec``
+    fits in int32, the dtype of the rendered labels."""
+    value = getattr(spec, name)
+    if not -2 ** 31 <= int(value) < 2 ** 31:
+        raise SynthError(f"{name} must fit in int32, not {value!r}")
+
+
 @dataclass(frozen=True)
 class ObjectSpec:
     """A fronto-parallel patch: rect (r0, c0, r1, c1), end-exclusive, or
@@ -68,6 +76,7 @@ class ObjectSpec:
         if self.shape not in ("rect", "disk"):
             raise SynthError(f"unknown object shape {self.shape!r}")
         _check_integers(self, "class_id", "texture_seed")
+        _check_class_id(self, "class_id")
         if not (math.isfinite(self.depth) and self.depth > 0):
             raise SynthError("object depth must be positive and finite")
         n = 4 if self.shape == "rect" else 3
@@ -132,6 +141,7 @@ class SceneSpec:
     def __post_init__(self):
         _check_integers(self, "height", "width", "background_class",
                         "background_texture_seed")
+        _check_class_id(self, "background_class")
         if self.height <= 0 or self.width <= 0:
             raise SynthError("degenerate image size")
         if max(self.height, self.width) > MAX_SCENE_SIDE:

@@ -128,12 +128,19 @@ def _camera_variant(variant):
 
 def _config_variant(variant):
     """Scene files under ``variant``, or None when it has none: a value
-    replaces each real-valued key in turn, zeros and negatives the size,
+    replaces each real-valued key in turn, the huge one also each class id
+    as 3e9 (too large for the int32 labels), zeros and negatives the size,
     and the crops set the size."""
     if variant in VALUES:
         keys = ("fx", "baseline", "background_depth")
-        return [{**CONFIG, key: variant} for key in keys] + [
+        configs = [{**CONFIG, key: variant} for key in keys] + [
             {**CONFIG, "object": CONFIG["object"].replace("2.0", variant)}]
+        if variant == "1e30":
+            configs += [
+                {**CONFIG, "background_class": "3000000000"},
+                {**CONFIG, "object": CONFIG["object"].replace(
+                    ",1,5", ",3000000000,5")}]
+        return configs
     if variant in ("zeros", "negatives"):
         size = "0" if variant == "zeros" else "-6"
         return [{**CONFIG, "height": size}, {**CONFIG, "width": size}]

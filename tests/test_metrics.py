@@ -155,6 +155,9 @@ def test_evaluate_depth_without_a_mask_equals_an_all_true_mask():
     ([], [], "empty point lists"),
     (np.zeros((0, 2)), np.zeros((0, 2)), "empty point lists"),
     ([[1.0, 2.0]], [[1.0, 2.0], [3.0, 4.0]], "shape mismatch"),
+    # 3-D points: neither may be read as a list of 2-D points
+    (np.zeros((4, 3)), np.ones((4, 3)), r"must be \(N, 2\)"),
+    (np.zeros((3, 3)), np.ones((3, 3)), r"must be \(N, 2\)"),
 ])
 def test_reprojection_error_rejects_empty_or_unequal_lists(tracked, gt,
                                                           error):

@@ -66,18 +66,20 @@ def test_seg_fixture_small_threshold_keeps_label():
     y = np.array([[0, 1, 0]])
     y_hat = np.array([[0, 0, 0]])
     depth = np.array([[1.0, 1.01, 5.0]])
-    out = refine_segmentation_with_depth(
-        y, y_hat, depth, RefineConfig(depth_threshold=0.005))
-    assert out.tolist() == [[0, 1, 0]]
+    for impl in ("parallel", "reference"):
+        out = refine_segmentation_with_depth(
+            y, y_hat, depth, RefineConfig(depth_threshold=0.005), impl)
+        assert out.tolist() == [[0, 1, 0]], impl
 
 
 def test_seg_fixture_large_threshold_relabels():
     y = np.array([[0, 1, 0]])
     y_hat = np.array([[0, 0, 0]])
     depth = np.array([[1.0, 1.01, 5.0]])
-    out = refine_segmentation_with_depth(
-        y, y_hat, depth, RefineConfig(depth_threshold=0.1))
-    assert out.tolist() == [[0, 0, 0]]
+    for impl in ("parallel", "reference"):
+        out = refine_segmentation_with_depth(
+            y, y_hat, depth, RefineConfig(depth_threshold=0.1), impl)
+        assert out.tolist() == [[0, 0, 0]], impl
 
 
 def test_seg_relabel_takes_depth_closest_neighbor():
@@ -86,18 +88,20 @@ def test_seg_relabel_takes_depth_closest_neighbor():
     y = np.array([[0, 2, 1]])
     y_hat = np.array([[0, 0, 1]])
     depth = np.array([[1.0, 2.9, 3.0]])
-    out = refine_segmentation_with_depth(
-        y, y_hat, depth, RefineConfig(depth_threshold=10.0))
-    assert out[0, 1] == 1
+    for impl in ("parallel", "reference"):
+        out = refine_segmentation_with_depth(
+            y, y_hat, depth, RefineConfig(depth_threshold=10.0), impl)
+        assert out[0, 1] == 1, impl
 
 
 def test_seg_tie_breaks_to_earliest_raster_neighbor():
     y = np.array([[0, 2, 1]])
     y_hat = np.array([[0, 0, 1]])
     depth = np.array([[2.0, 3.0, 4.0]])  # both neighbors at distance 1.0
-    out = refine_segmentation_with_depth(
-        y, y_hat, depth, RefineConfig(depth_threshold=10.0))
-    assert out[0, 1] == 0
+    for impl in ("parallel", "reference"):
+        out = refine_segmentation_with_depth(
+            y, y_hat, depth, RefineConfig(depth_threshold=10.0), impl)
+        assert out[0, 1] == 0, impl
 
 
 def test_seg_wavefront_propagates_across_unreliable_region():
@@ -106,18 +110,20 @@ def test_seg_wavefront_propagates_across_unreliable_region():
     y = np.array([[5, 1, 2, 3]])
     y_hat = np.array([[5, 0, 0, 0]])
     depth = np.array([[1.0, 1.01, 1.02, 1.03]])
-    out = refine_segmentation_with_depth(
-        y, y_hat, depth, RefineConfig(depth_threshold=0.05))
-    assert out.tolist() == [[5, 5, 5, 5]]
+    for impl in ("parallel", "reference"):
+        out = refine_segmentation_with_depth(
+            y, y_hat, depth, RefineConfig(depth_threshold=0.05), impl)
+        assert out.tolist() == [[5, 5, 5, 5]], impl
 
 
 def test_seg_unreached_pixels_keep_labels():
     y = np.array([[1, 1]])
     y_hat = np.array([[0, 0]])  # nothing is confident, nothing propagates
     depth = np.ones((1, 2))
-    out = refine_segmentation_with_depth(y, y_hat, depth,
-                                         RefineConfig(depth_threshold=1.0))
-    assert out.tolist() == [[1, 1]]
+    for impl in ("parallel", "reference"):
+        out = refine_segmentation_with_depth(
+            y, y_hat, depth, RefineConfig(depth_threshold=1.0), impl)
+        assert out.tolist() == [[1, 1]], impl
 
 
 def test_seg_default_threshold_is_five_percent_of_median():
@@ -125,48 +131,58 @@ def test_seg_default_threshold_is_five_percent_of_median():
     y_hat = np.array([[0, 0, 0]])
     # median confident depth 3.0 -> threshold 0.15
     depth = np.array([[2.0, 2.12, 4.0]])
-    out = refine_segmentation_with_depth(y, y_hat, depth, RefineConfig())
-    assert out[0, 1] == 0
     depth2 = np.array([[2.0, 2.22, 4.0]])  # gaps 0.22 / 1.78 exceed 0.15
-    out2 = refine_segmentation_with_depth(y, y_hat, depth2, RefineConfig())
-    assert out2[0, 1] == 1
+    for impl in ("parallel", "reference"):
+        out = refine_segmentation_with_depth(y, y_hat, depth, impl=impl)
+        assert out[0, 1] == 0, impl
+        out2 = refine_segmentation_with_depth(y, y_hat, depth2, impl=impl)
+        assert out2[0, 1] == 1, impl
 
 
 def test_seg_rejects_nonpositive_depth():
-    with pytest.raises(RefineError):
-        refine_segmentation_with_depth(np.zeros((2, 2), int),
-                                       np.zeros((2, 2), int),
-                                       np.zeros((2, 2)))
+    for impl in ("parallel", "reference"):
+        with pytest.raises(RefineError):
+            refine_segmentation_with_depth(np.zeros((2, 2), int),
+                                           np.zeros((2, 2), int),
+                                           np.zeros((2, 2)), impl=impl)
 
 
 @pytest.mark.parametrize("bad, error", [(np.nan, "finite"),
                                         (1.5, "whole numbers")])
 @pytest.mark.parametrize("which", [0, 1])
 def test_seg_rejects_float_labels_that_are_not_whole(bad, error, which):
-    labels = [np.zeros((2, 4)), np.zeros((2, 4))]
-    labels[which][1, 1] = bad
-    with pytest.raises(RefineError, match=error):
-        refine_segmentation_with_depth(*labels, np.ones((2, 4)))
-    # whole float labels keep their dtype
-    labels[which][1, 1] = 1.0
-    out = refine_segmentation_with_depth(*labels, np.ones((2, 4)))
-    assert out.dtype == np.float64
+    for impl in ("parallel", "reference"):
+        labels = [np.zeros((2, 4)), np.zeros((2, 4))]
+        labels[which][1, 1] = bad
+        with pytest.raises(RefineError, match=error):
+            refine_segmentation_with_depth(*labels, np.ones((2, 4)),
+                                           impl=impl)
+        # whole float labels keep their dtype
+        labels[which][1, 1] = 1.0
+        out = refine_segmentation_with_depth(*labels, np.ones((2, 4)),
+                                             impl=impl)
+        assert out.dtype == np.float64, impl
 
 
 def test_depth_fixture_clips_into_confident_range():
-    depth = np.array([[2.0, 9.0, 2.2]])
-    st = RefineState(confident=np.array([[True, False, True]]),
-                     unreliable=np.array([[False, True, False]]))
-    out = refine_depth_with_segmentation(depth, [st])
-    assert np.allclose(out, [[2.0, 2.2, 2.2]])
+    # one value above the confident range [2.0, 2.2], one below it
+    depth = np.array([[2.0, 9.0, 2.2],
+                      [2.0, 0.5, 2.2]])
+    st = RefineState(confident=np.array([[True, False, True]] * 2),
+                     unreliable=np.array([[False, True, False]] * 2))
+    for impl in ("parallel", "reference"):
+        out = refine_depth_with_segmentation(depth, [st], impl=impl)
+        assert np.allclose(out, [[2.0, 2.2, 2.2],
+                                 [2.0, 2.0, 2.2]]), impl
 
 
 def test_depth_value_inside_range_is_unchanged():
     depth = np.array([[2.0, 2.1, 2.2]])
     st = RefineState(confident=np.array([[True, False, True]]),
                      unreliable=np.array([[False, True, False]]))
-    out = refine_depth_with_segmentation(depth, [st])
-    assert np.allclose(out, depth)
+    for impl in ("parallel", "reference"):
+        out = refine_depth_with_segmentation(depth, [st], impl=impl)
+        assert np.allclose(out, depth), impl
 
 
 def test_depth_no_new_extremes():
@@ -174,12 +190,13 @@ def test_depth_no_new_extremes():
     depth = rng.random((16, 16)) * 5 + 1
     conf = rng.random((16, 16)) < 0.3
     st = RefineState(confident=conf, unreliable=~conf)
-    out = refine_depth_with_segmentation(depth, [st])
     lo = min(depth[conf].min(), depth.min())
     hi = max(depth[conf].max(), depth.max())
-    assert out.min() >= lo - 1e-12 and out.max() <= hi + 1e-12
-    # confident pixels never change
-    assert np.array_equal(out[conf], depth[conf])
+    for impl in ("parallel", "reference"):
+        out = refine_depth_with_segmentation(depth, [st], impl=impl)
+        assert out.min() >= lo - 1e-12 and out.max() <= hi + 1e-12, impl
+        # confident pixels never change
+        assert np.array_equal(out[conf], depth[conf]), impl
 
 
 def test_depth_classes_do_not_interact():
@@ -194,10 +211,11 @@ def test_depth_classes_do_not_interact():
         mask = seg == k
         states.append(RefineState(confident=mask & conf,
                                   unreliable=mask & ~conf))
-    out = refine_depth_with_segmentation(depth, states)
-    # the unreliable class-1 pixel has no confident class-1 neighbor, so the
-    # surrounding class-0 values must not clip it
-    assert out[0, 1] == 50.0
+    for impl in ("parallel", "reference"):
+        out = refine_depth_with_segmentation(depth, states, impl=impl)
+        # the unreliable class-1 pixel has no confident class-1 neighbor, so
+        # the surrounding class-0 values must not clip it
+        assert out[0, 1] == 50.0, impl
 
 
 @pytest.mark.parametrize("impl", ["parallel", "reference"])
@@ -282,6 +300,17 @@ def test_split_by_consistency_marks_invalid_warp_unreliable():
                                              (0,))
     assert states[0].unreliable[0, 1]
     assert states[0].confident.sum() == 3
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.float64])
+def test_split_by_consistency_rejects_a_warp_valid_mask_that_is_not_bool(
+        dtype):
+    # a uint8 mask is what ``depthseg warp --out-valid`` writes
+    ones = np.ones((2, 2), int)
+    with pytest.raises(RefineError, match="warp_valid must be bool, got "
+                                          + np.dtype(dtype).name):
+        split_confidence_by_consistency(np.ones((2, 2)), ones, ones, ones,
+                                        np.ones((2, 2), dtype), (1,))
 
 
 def test_split_by_consistency_rejects_unknown_class():

@@ -227,9 +227,12 @@ def test_corrupt_flip_matches_full_map_flip(rate, shape):
 @pytest.mark.parametrize("bad, error", [
     (0.5, "whole numbers"), (-2.25, "whole numbers"),
     (2.0 ** 40, "finite and fit in int32"), (-2.0 ** 31 - 1, "int32"),
-    (np.nan, "finite"), (np.inf, "finite"), (-np.inf, "finite")])
+    (np.nan, "finite"), (np.inf, "finite"), (-np.inf, "finite"),
+    # integer labels that an int32 cast would wrap
+    (np.int64(2 ** 32 + 1), "fit in int32"), (np.int64(-2 ** 31 - 1), "int32"),
+    (np.uint32(2 ** 31), "fit in int32"), (np.uint64(2 ** 63), "int32")])
 def test_corrupt_rejects_labels_that_an_int32_cast_would_change(bad, error):
-    seg = np.zeros((4, 5))
+    seg = np.zeros((4, 5), np.asarray(bad).dtype)
     seg[2, 3] = bad
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -521,6 +524,20 @@ def test_specs_require_integers(build):
     build(3)
     build(np.int64(3))
     build(np.uint8(3))
+
+
+@pytest.mark.parametrize("build", [
+    lambda v: make_scene(background_class=v),
+    lambda v: ObjectSpec("rect", (0, 0, 4, 4), 2.0, v, 0),
+], ids=["background_class", "class_id"])
+def test_class_ids_must_fit_in_int32(build):
+    # the rendered labels are int32; such a class id made render raise
+    # OverflowError
+    for value in (3_000_000_000, 2 ** 31, -2 ** 31 - 1, np.uint64(2 ** 63)):
+        with pytest.raises(SynthError, match="must fit in int32"):
+            build(value)
+    build(2 ** 31 - 1)
+    build(np.int64(-2 ** 31))
 
 
 @pytest.mark.parametrize("field, value", [
