@@ -12,19 +12,21 @@ makes no pixel grid, point cloud or matrix product. It skips every term
 whose coefficient is exactly 0, multiplies by no coefficient of exactly 1
 and adds no zero translation, none of which rounds: a rectified stereo pose
 costs one product per coordinate. u and v are written in place into two
-contiguous planes. Every resampler has one edge rule: it pads its float64
-source once with its last row and column repeated, so each +1 neighbor of a
+contiguous planes. Every resampler has one edge rule: it pads its source
+once with its last row and column repeated, so each +1 neighbor of a
 position inside the image lies in the array and equals the clamped pixel,
 signed zeros included. One private sampler serves ``bilinear_sample`` and
 ``warp``: it forms one flat index into the padded source per sample, exact
 in float64 and cast once, and gathers the four neighbors through it at
 offsets 0, 1, W+1 and W+2. It weights one channel without a channel axis,
 and sums the four weighted gathers in place, in the order of the formula,
-through one scratch buffer. Its positions lose their float floors in
-place, and it zeroes the invalid samples once. ``bilinear_sample`` hands it
-masked copies of the caller's positions; ``warp`` hands it ``project``'s
-planes themselves, which are already inside the source where valid and 0
-elsewhere. ``upsample_bilinear`` to the input's own shape is a float32
+through one scratch buffer. It zeroes the invalid samples once.
+``bilinear_sample`` hands it masked copies of the caller's positions;
+``warp`` hands it ``project``'s planes themselves, which are already
+inside the source where valid and 0 elsewhere. A float32 sample is half
+the bytes of a float64 one: at 192x640 the traced peak of a stereo warp
+is about 6.8 H*W*8 bytes for a float32 source and 8.7 for any other.
+``upsample_bilinear`` to the input's own shape is a float32
 cast, since every weight is exactly 1 or 0. Otherwise it is row-factored:
 it applies the column weights at the padded input's rows, then gathers
 whole output rows of those products, weights them by row and sums the four
@@ -33,16 +35,30 @@ gets the general sampler's arithmetic, (s*gu)*gv summed in the formula's
 order, since a gather moves values and does no arithmetic.
 ``disparity_to_depth`` converts in one buffer.
 
+Precision. ``project``, every valid mask and ``upsample_bilinear``
+compute in float64, and the sampler's positions are float64.
+``bilinear_sample`` and ``warp`` sample in their source's precision and
+return float32 either way. A float32 source is checked and padded as it
+is; the fractional parts of the positions are rounded once to float32,
+and the weights, gathers, products and sums are float32, so each sample
+is the direct formula evaluated in float32. It lies within
+4 * 2**-24 * max|src| of the float64 sample cast to float32: the rounding
+of the weights, products and sums bounds it by about 10, and 36 million
+samples, of sources of mixed magnitudes at positions whose fractional
+parts lie near 0 and 1, read 3.94 at most. A source of any other dtype is
+converted to float64 and sampled in float64, and its float32 output is
+the float64 sum rounded once.
+
 The module also holds private helpers the other modules share: the
 8-neighborhood offsets, as flat steps into a padded array for the
 refinement wavefronts; one 3x3 window reduction, the SSIM box sum with
 ``np.add`` and the synthetic depth bleed with ``np.minimum``; and one check
 per array input rule, each raising the caller's error class: the
 non-empty, finite (and optionally positive) map check, the equal-shape
-check, the image check that also makes an (H, W, C) float64 array, the
-depth-map check that also makes a 2-D float64 map, and the label check
-that also casts labels to integers, whose float labels must be finite whole
-numbers within int32.
+check, the image check that also makes an (H, W, C) float64 array and its
+twin that keeps a float32 image as it is, the depth-map check that also
+makes a 2-D float64 map, and the label check that also casts labels to
+integers, whose float labels must be finite whole numbers within int32.
 """
 
 from __future__ import annotations
@@ -219,6 +235,17 @@ def _as_image(img, error: type[Exception],
     return img, squeeze
 
 
+def _as_float_image(img, error: type[Exception],
+                    name: str) -> tuple[np.ndarray, bool, tuple]:
+    """``img`` as a non-empty, finite (H, W, C) array, float32 as it is
+    and of any other dtype converted to float64, whether it was (H, W),
+    and its min and max."""
+    img = np.asarray(img)
+    if img.dtype != np.float32:
+        img = np.asarray(img, dtype=np.float64)
+    return _checked_image(img, error, name)
+
+
 def _checked_image(img: np.ndarray, error: type[Exception],
                    name: str) -> tuple[np.ndarray, bool, tuple]:
     """A non-empty, finite (H, W) or (H, W, C) array ``img`` as (H, W, C),
@@ -307,15 +334,16 @@ def project(depth: np.ndarray, pose: Pose,
 
     z = source(2, np.empty_like(depth))
     valid = z > 1e-9
-    z_safe = np.where(valid, z, 1.0)
-    del z
+    if not valid.all():
+        # the samples behind the camera divide by 1; they are zeroed below
+        z = np.where(valid, z, 1.0)
     planes = np.empty((2, h, w))
     inside = np.empty_like(valid)
     for i, (f, c, hi) in enumerate(((cam.fx, cam.cx, w - 1),
                                     (cam.fy, cam.cy, h - 1))):
         plane = planes[i]
         np.multiply(f, source(i, plane), out=plane)
-        plane /= z_safe
+        plane /= z
         plane += c
         valid &= np.greater_equal(plane, 0, out=inside)
         valid &= np.less_equal(plane, hi, out=inside)
@@ -339,7 +367,7 @@ def bilinear_sample(src: np.ndarray,
         # one (u, v) point, sampled as a list of one
         out, valid = bilinear_sample(src, coords[None])
         return out[0], valid[0]
-    src, squeeze = _as_image(src, GeometryError, "source")
+    src, squeeze, _ = _as_float_image(src, GeometryError, "source")
     h, w, c = src.shape
     src = _padded(src)
     u = coords[..., 0]
@@ -356,31 +384,40 @@ def bilinear_sample(src: np.ndarray,
 
 
 def _padded(img: np.ndarray) -> np.ndarray:
-    """A float64 (H, W, C) image with its last row and column repeated, so
-    that the +1 neighbors of every position inside the image lie in the
-    array and equal the clamped pixel, signed zeros included."""
+    """An (H, W, C) image with its last row and column repeated, in its
+    own dtype, so that the +1 neighbors of every position inside the image
+    lie in the array and equal the clamped pixel, signed zeros included."""
     return np.pad(img, ((0, 1), (0, 1), (0, 0)), mode="edge")
 
 
 def _sample(src: np.ndarray, u: np.ndarray, v: np.ndarray,
             valid: np.ndarray) -> np.ndarray:
-    """Bilinear samples of a ``_padded`` float64 (H+1, W+1, C) ``src`` at
-    the positions ``u`` (columns) and ``v`` (rows), two float64 arrays of
-    one shape whose values all lie inside the unpadded image, as a float32
-    array of that shape and a trailing axis of C, and 0 where ``valid`` is
-    False. ``u`` and ``v`` are overwritten."""
+    """Bilinear samples of a ``_padded`` float32 or float64 (H+1, W+1, C)
+    ``src`` at the positions ``u`` (columns) and ``v`` (rows), two float64
+    arrays of one shape whose values all lie inside the unpadded image, as
+    a float32 array of that shape and a trailing axis of C, and 0 where
+    ``valid`` is False. The weights, gathers and sums are in ``src``'s
+    dtype. ``u`` and ``v`` may be overwritten."""
     h, w, c = src.shape
-    # the positions become their fractional parts in place, less their
-    # float floors (the same as less the integer indices, which convert
-    # exactly)
+    dtype = src.dtype
+    # the fractional parts, the positions less their float floors (the
+    # same as less the integer indices, which convert exactly), are exact
+    # in float64 and rounded once to the source's dtype: written over the
+    # positions for a float64 source, into new buffers for a float32 one
     u0 = np.floor(u)
+    fu = np.subtract(u, u0, out=u if dtype == u.dtype
+                     else np.empty(u.shape, dtype))
     v0 = np.floor(v)
-    fu = np.subtract(u, u0, out=u)
-    fv = np.subtract(v, v0, out=v)
-    # one flat index per sample, exact in float64 and cast once; its +1
-    # neighbors are the next entry and the next row of the padded source
-    index = (v0 * w + u0).astype(np.intp)
-    del u0, v0
+    fv = np.subtract(v, v0, out=v if dtype == v.dtype
+                     else np.empty(v.shape, dtype))
+    # one flat index per sample, v0*w + u0, exact in float64 and cast
+    # once; its +1 neighbors are the next entry and the next row of the
+    # padded source
+    v0 *= w
+    v0 += u0
+    del u0
+    index = v0.astype(np.intp)
+    del v0
     gu = 1 - fu
     gv = 1 - fv
     flat = src.reshape(h * w, c)
@@ -391,8 +428,8 @@ def _sample(src: np.ndarray, u: np.ndarray, v: np.ndarray,
         fu, fv, gu, gv = (a[..., None] for a in (fu, fv, gu, gv))
     # s00*gu*gv + s01*fu*gv + s10*gu*fv + s11*fu*fv, summed left to right;
     # one buffer holds the last three gathers, whose indices are in range.
-    # The products keep that order, but the float32 outputs cannot see it:
-    # no test fails when a product's two weights are swapped
+    # A float64 sum is cast to float32 once at the end; a float32 one is
+    # the output
     out = flat.take(index, axis=0)
     out *= gu
     out *= gv
@@ -407,7 +444,8 @@ def _sample(src: np.ndarray, u: np.ndarray, v: np.ndarray,
     flat[w + 1:].take(index, axis=0, out=s, mode="clip")
     s *= fu
     s *= fv
-    out = np.add(out, s, out=np.empty(out.shape, np.float32))
+    out = np.add(out, s, out=out if dtype == np.float32
+                 else np.empty(out.shape, np.float32))
     np.copyto(out, 0.0, where=~valid if c == 1 else ~valid[..., None])
     return out[..., None] if c == 1 else out
 
@@ -420,7 +458,7 @@ def warp(src_img: np.ndarray, target_depth: np.ndarray, pose: Pose,
     if np.shape(src_img)[:2] != coords.shape[:2]:
         raise GeometryError(f"source image is {np.shape(src_img)[:2]}, not "
                             f"the depth's {coords.shape[:2]}")
-    src, squeeze = _as_image(src_img, GeometryError, "source")
+    src, squeeze, _ = _as_float_image(src_img, GeometryError, "source")
     src = _padded(src)
     # project's positions are inside the source where valid and 0
     # elsewhere, so the sampler consumes them as they are

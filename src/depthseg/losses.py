@@ -45,17 +45,20 @@ a boolean index. Every temporary of these kernels has the images' dtype,
 so float32 images move half the bytes of float64 ones: at 192x640 the
 traced peaks of ``ssim_map`` and the gradient are about 4.1 and 5.1
 H*W*8 bytes for float32 images and 8.1 and 10.1 for float64 ones. The
-multi-scale loss checks both images once, converts the target once and
-the source not at all, and computes the target's window terms once for
-its four scales; each scale runs the public upsample, depth conversion
-and warp, then the private photometric kernel on the warp's float32
-output, cast to float64 only on the float64 path. The warps work in
-float64 whatever the images' dtype, so they set its peak (about 11.1 for
-float32 images, 12.1 for float64). It holds no scale's depth or warp into
-the next. The hint loss with no mask averages every pixel, with no all-true
-mask. Cross-entropy with integer labels reads and writes only each pixel's
-labelled probability, one flat gather of H*W entries, not an (H, W, K)
-one-hot map; its sum-to-one check is one ``einsum`` over the class axis.
+multi-scale loss checks and converts both images once, and computes the
+target's window terms once for its four scales; each scale runs the
+public upsample, depth conversion and warp, then the private photometric
+kernel on the warp's float32 output, cast to float64 only on the float64
+path. Each warp samples the source in the loss's dtype, as
+``geometry.warp`` samples a float32 source in float32, so the step peaks
+at about 9.1 for float32 images and 12.1 for float64 ones. On the float64
+path a source that was not float64 is held as a float64 copy across the
+scales, one image more at the peak (14.1 for out-of-range float32
+images). It holds no scale's depth or warp into the next. The hint loss
+with no mask averages every pixel, with no all-true mask. Cross-entropy
+with integer labels reads and writes only each pixel's labelled
+probability, one flat gather of H*W entries, not an (H, W, K) one-hot
+map; its sum-to-one check is one ``einsum`` over the class axis.
 """
 
 from __future__ import annotations
@@ -111,14 +114,11 @@ SSIM_C2 = 0.03 ** 2
 
 
 def _photometric_image(img) -> tuple[np.ndarray, bool]:
-    """``img`` checked as ``geometry._as_image`` checks it, as an (H, W, C)
-    array, and whether it is float32 with every value in [-1, 1], the
-    dynamic range that ``SSIM_C1`` and ``SSIM_C2`` are set for. A float32
-    image is returned as it is, any other converted to float64."""
-    img = np.asarray(img)
-    if img.dtype != np.float32:
-        img = np.asarray(img, dtype=np.float64)
-    img, _, (lo, hi) = geometry._checked_image(img, LossError, "images")
+    """``img`` checked and converted as ``geometry._as_float_image`` does,
+    as an (H, W, C) array: a float32 image as it is, any other converted
+    to float64. Also whether it is float32 with every value in [-1, 1],
+    the dynamic range that ``SSIM_C1`` and ``SSIM_C2`` are set for."""
+    img, _, (lo, hi) = geometry._as_float_image(img, LossError, "images")
     return img, img.dtype == np.float32 and -1.0 <= lo and hi <= 1.0
 
 
@@ -499,16 +499,20 @@ def multiscale_photometric(disparities, img_t, img_s, pose, cam,
     if h < 8 or w_img < 8:
         raise LossError("images must be at least 8x8, so that the 1/8 "
                         f"scale holds a pixel; got {h}x{w_img}")
-    # the target checked and converted once for the four scales, and its
-    # window terms computed once. The source is checked here and handed to
-    # each warp as the caller gave it, so no copy of it is held beside the
-    # warp's padded one; the float32 warp is finite where the source is,
-    # and lies in [-1, 1] where the source does
+    # both images checked and converted to the loss's dtype once for the
+    # four scales, and the target's window terms computed once. Each warp
+    # samples the source in that dtype: on the float32 path the caller's
+    # source itself, and on the float64 path a float64 one, held across
+    # the scales when the caller's was not float64 (converting it for each
+    # warp alone peaks as high, since the caller's frame holds it through
+    # the warp). The float32 warp is finite where the source is, and lies
+    # in [-1, 1] where the source does, give or take the rounding of its
+    # float32 sum: a source of all 1s can sample to 1 + 2**-23
     src, s_fast = _photometric_image(img_s)
     geometry._same_shape(LossError, img_t, src)
-    del src
     dtype = np.float32 if t_fast and s_fast else np.float64
     img_t = img_t.astype(dtype, copy=False)
+    src = src.astype(dtype, copy=False)
     target = _target_terms(img_t)
     losses = []
     for scale, disp in enumerate(disparities):
@@ -519,7 +523,7 @@ def multiscale_photometric(disparities, img_t, img_s, pose, cam,
                             f"got {disp.shape}")
         depth = geometry.disparity_to_depth(
             geometry.upsample_bilinear(disp, (h, w_img)), depth_params)
-        warped, valid = geometry.warp(img_s, depth, pose, cam)
+        warped, valid = geometry.warp(src, depth, pose, cam)
         del depth
         warped = warped.astype(dtype, copy=False).reshape(img_t.shape)
         losses.append(_photometric(img_t, warped,

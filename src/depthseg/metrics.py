@@ -67,14 +67,17 @@ def evaluate_depth(pred, gt, gt_valid=None,
     p = np.clip(pred[valid], MIN_PRED_DEPTH, cap)
     ratio = np.maximum(g / p, p / g)
     err = g - p
+    sq = err * err
+    # a count over n is the mean of the boolean map: both round the same
+    # exact quotient once
     return DepthEvalResult(
         abs_rel=float(np.mean(np.abs(err) / g)),
-        sq_rel=float(np.mean(err ** 2 / g)),
-        rmse=float(np.sqrt(np.mean(err ** 2))),
+        sq_rel=float(np.mean(sq / g)),
+        rmse=float(np.sqrt(np.mean(sq))),
         rmse_log=float(np.sqrt(np.mean((np.log(g) - np.log(p)) ** 2))),
-        delta1=float(np.mean(ratio < 1.25)),
-        delta2=float(np.mean(ratio < 1.25 ** 2)),
-        delta3=float(np.mean(ratio < 1.25 ** 3)),
+        delta1=float(np.count_nonzero(ratio < 1.25) / n),
+        delta2=float(np.count_nonzero(ratio < 1.25 ** 2) / n),
+        delta3=float(np.count_nonzero(ratio < 1.25 ** 3) / n),
         valid_pixel_count=n,
     )
 

@@ -11,7 +11,9 @@ from depthseg.geometry import (Camera, DepthParams, GeometryError, Pose,
 
 # Oracles: the direct forms of project, bilinear_sample, upsample_bilinear
 # and warp, through a pixel grid, an (H, W, 3) point cloud and a matrix
-# product, four fancy-index gathers and a full coordinate field.
+# product, four fancy-index gathers and a full coordinate field. A float32
+# source is sampled in float32, with float32 fractional parts; a source of
+# any other dtype in float64.
 
 def oracle_project(depth, pose, cam):
     h, w = depth.shape
@@ -33,7 +35,9 @@ def oracle_project(depth, pose, cam):
 
 
 def oracle_bilinear_sample(src, coords):
-    src = np.asarray(src, dtype=np.float64)
+    src = np.asarray(src)
+    dtype = np.float32 if src.dtype == np.float32 else np.float64
+    src = src.astype(dtype)
     squeeze = src.ndim == 2
     if squeeze:
         src = src[:, :, None]
@@ -47,8 +51,8 @@ def oracle_bilinear_sample(src, coords):
     v0 = np.floor(v).astype(np.intp)
     u1 = np.minimum(u0 + 1, w - 1)
     v1 = np.minimum(v0 + 1, h - 1)
-    fu = (u - u0)[..., None]
-    fv = (v - v0)[..., None]
+    fu = (u - u0)[..., None].astype(dtype)
+    fv = (v - v0)[..., None].astype(dtype)
     out = (src[v0, u0] * (1 - fu) * (1 - fv) + src[v0, u1] * fu * (1 - fv)
            + src[v1, u0] * (1 - fu) * fv + src[v1, u1] * fu * fv)
     out = np.where(valid[..., None], out, 0.0).astype(np.float32)
@@ -322,6 +326,69 @@ def test_project_and_warp_match_oracle_bitwise(pose, shape):
                 rng.random(shape + (3,))):
         assert_bitwise(warp(img, depth, pose, cam),
                        oracle_warp(img, depth, pose, cam))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float16, np.int32,
+                                   np.uint8])
+@pytest.mark.parametrize("channels", [None, 3])
+def test_sources_of_other_dtypes_are_sampled_in_float64_bitwise(dtype,
+                                                                channels):
+    # only a float32 source is sampled in float32; a source of any other
+    # dtype gives the float64 oracle's bytes, and so its float64 cast's
+    rng = np.random.default_rng(52)
+    h, w = 7, 12
+    src = rng.uniform(0.0, 200.0, (h, w) if channels is None
+                      else (h, w, channels)).astype(dtype)
+    coords = lattice_edge_coords(rng, h, w)
+    got = bilinear_sample(src, coords)
+    assert_bitwise(got, oracle_bilinear_sample(src, coords))
+    assert_bitwise(got, bilinear_sample(src.astype(np.float64), coords))
+    cam = Camera(9.2, 9.0, 5.5, 3.0)
+    depth = rng.uniform(0.5, 20.0, (h, w))
+    for pose in POSES.values():
+        assert_bitwise(warp(src, depth, pose, cam),
+                       oracle_warp(src, depth, pose, cam))
+
+
+# float32 samples lie within this many 2**-24 * max|src| of the float64
+# samples cast to float32. The weights' rounding, the products' and the
+# sums' bound it by about 10; 36 million samples of sources and positions
+# like the test's read 3.94 at most
+FLOAT32_SAMPLE_ERROR = 4.0
+
+
+@pytest.mark.parametrize("channels", [None, 1, 3])
+def test_float32_samples_are_near_the_float64_samples(channels):
+    # sources of several magnitudes and of values just below 1, sampled at
+    # random positions and at fractional parts within 2**-40 of 0 and of
+    # 1, which round to 0 and 1 in float32; the valid masks are equal
+    rng = np.random.default_rng(53)
+    h, w = 9, 14
+    shape = (h, w) if channels is None else (h, w, channels)
+    n = 3000
+    base = np.stack([rng.integers(0, w, n), rng.integers(0, h, n)], axis=-1)
+    tiny = rng.random((n, 2)) * 2.0 ** -rng.integers(1, 41, (n, 2))
+    fields = [np.stack([rng.uniform(-1.0, w, n), rng.uniform(-1.0, h, n)],
+                       axis=-1), base + tiny, base + 1 - tiny]
+    sources = [rng.uniform(-1.0, 1.0, shape),
+               rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4, shape),
+               rng.uniform(0.99, 1.0, shape),
+               rng.choice([-1.0, 1.0, 0.999999, -0.0], size=shape)]
+    cam = Camera(11.0, 10.0, 6.5, 4.0)
+    depth = rng.uniform(0.5, 20.0, (h, w))
+    for src in sources:
+        src = src.astype(np.float32)
+        bound = FLOAT32_SAMPLE_ERROR * 2.0 ** -24 * np.abs(src).max()
+        pairs = [(bilinear_sample(src, coords),
+                  bilinear_sample(src.astype(np.float64), coords))
+                 for coords in fields]
+        pairs += [(warp(src, depth, pose, cam),
+                   warp(src.astype(np.float64), depth, pose, cam))
+                  for pose in POSES.values()]
+        for (got, valid), (want, want_valid) in pairs:
+            assert got.dtype == want.dtype == np.float32
+            assert valid.tobytes() == want_valid.tobytes()
+            assert np.abs(got.astype(np.float64) - want).max() <= bound
 
 
 @pytest.mark.parametrize("pose", [
@@ -621,18 +688,22 @@ def test_flip_postprocess_rejects_nonfinite_maps(bad, which):
 
 
 def test_warp_peak_memory():
-    # a 192x640 stereo warp of a float32 image: one float64 copy of the
-    # source, two coordinate planes and the sampler's weights and gathers.
-    # The full-sum project with (H, W, 1) weights peaked at 14.4 H*W*8
-    # bytes; planar coordinates and in-place weights at 11.6, and the
-    # sampler consuming project's planes, with no masked copies, at 9.4
+    # a 192x640 stereo warp: two coordinate planes, the padded source and
+    # the sampler's weights and gathers. The full-sum project with
+    # (H, W, 1) weights peaked at 14.4 H*W*8 bytes; planar coordinates and
+    # in-place weights at 11.6, and the sampler consuming project's
+    # planes, with no masked copies, at 9.4, then 8.7. A float32 source,
+    # padded and sampled in float32, peaks at 6.8, and a float64 one still
+    # at 8.7
     rng = np.random.default_rng(17)
     h, w = 192, 640
     src = rng.random((h, w)).astype(np.float32)
     depth = rng.uniform(3.0, 40.0, (h, w))
     cam = Camera(0.58 * w, 1.92 * h, (w - 1) / 2, (h - 1) / 2)
-    peak = traced_peak(warp, src, depth, Pose.stereo_baseline(0.54), cam)
-    assert peak <= 10 * h * w * 8
+    for dtype, bound in ((np.float32, 7.3), (np.float64, 10)):
+        peak = traced_peak(warp, src.astype(dtype), depth,
+                           Pose.stereo_baseline(0.54), cam)
+        assert peak <= bound * h * w * 8
 
 
 @pytest.mark.parametrize("shape", [(1, 7), (6, 1), (5, 7), (5, 7, 3)])

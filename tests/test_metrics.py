@@ -163,3 +163,40 @@ def test_reprojection_error_rejects_empty_or_unequal_lists(tracked, gt,
                                                           error):
     with pytest.raises(MetricsError, match=error):
         reprojection_error(tracked, gt)
+
+
+def expression_evaluate_depth(pred, gt, valid, cap):
+    """The seven metrics as direct expressions: the error squared where
+    each metric uses it and each accuracy as the mean of a boolean map."""
+    g = gt[valid]
+    p = np.clip(pred[valid], 1e-3, cap)
+    ratio = np.maximum(g / p, p / g)
+    err = g - p
+    return DepthEvalResult(
+        float(np.mean(np.abs(err) / g)), float(np.mean(err ** 2 / g)),
+        float(np.sqrt(np.mean(err ** 2))),
+        float(np.sqrt(np.mean((np.log(g) - np.log(p)) ** 2))),
+        float(np.mean(ratio < 1.25)), float(np.mean(ratio < 1.25 ** 2)),
+        float(np.mean(ratio < 1.25 ** 3)), int(valid.sum()))
+
+
+def test_evaluate_depth_matches_expression_form_bitwise():
+    # random maps and masks of many sizes, so that the accuracies take
+    # many counts over many pixel numbers
+    rng = np.random.default_rng(6)
+    for _ in range(300):
+        shape = tuple(rng.integers(1, 40, 2))
+        gt = rng.uniform(-5.0, 100.0, shape)
+        pred = gt * rng.uniform(0.5, 2.0, shape)
+        pred[rng.random(shape) < 0.2] = rng.uniform(-1.0, 120.0)
+        mask = rng.random(shape) < rng.random()
+        cap = rng.choice([80.0, 50.0])
+        valid = mask & (gt > 0) & (gt <= cap)
+        if not valid.any():
+            continue
+        got = evaluate_depth(pred, gt, mask, cap)
+        want = expression_evaluate_depth(pred, gt, valid, cap)
+        for name in DepthEvalResult.__dataclass_fields__:
+            g, e = getattr(got, name), getattr(want, name)
+            assert type(g) is type(e)
+            assert np.float64(g).tobytes() == np.float64(e).tobytes()
