@@ -55,8 +55,9 @@ refinement wavefronts; one 3x3 window reduction, the SSIM box sum with
 ``np.add`` and the synthetic depth bleed with ``np.minimum``; and one check
 per array input rule, each raising the caller's error class: the
 non-empty, finite (and optionally positive) map check, the equal-shape
-check, the image check that also makes an (H, W, C) float64 array and its
-twin that keeps a float32 image as it is, the depth-map check that also
+check, the one image check, which makes an (H, W, C) array that keeps a
+float32 image as it is and converts any other to float64, and its float64
+form, which checks first and casts after, the depth-map check that also
 makes a 2-D float64 map, and the label check that also casts labels to
 integers, whose float labels must be finite whole numbers within int32.
 """
@@ -215,7 +216,9 @@ def _as_labels(labels: np.ndarray, error: type[Exception],
     type that does not cast safely must fit in ``dtype``; labels that cast
     safely are cast unchecked."""
     if labels.dtype.kind == "f":
-        if not (-2.0 ** 31 <= labels.min() and labels.max() < 2.0 ** 31):
+        # compared as Python floats: 2**31 overflows a float16
+        if not (-2.0 ** 31 <= float(labels.min())
+                and float(labels.max()) < 2.0 ** 31):
             raise error("labels must be finite and fit in int32")
         if not np.array_equal(labels, np.trunc(labels)):
             raise error("labels must be whole numbers")
@@ -228,11 +231,10 @@ def _as_labels(labels: np.ndarray, error: type[Exception],
 
 def _as_image(img, error: type[Exception],
               name: str) -> tuple[np.ndarray, bool]:
-    """``img`` as a non-empty, finite float64 (H, W, C) array, and whether
-    it was (H, W)."""
-    img, squeeze, _ = _checked_image(np.asarray(img, dtype=np.float64),
-                                     error, name)
-    return img, squeeze
+    """``img`` checked as ``_as_float_image`` does, as a float64 (H, W, C)
+    array, and whether it was (H, W)."""
+    img, squeeze, _ = _as_float_image(img, error, name)
+    return img.astype(np.float64, copy=False), squeeze
 
 
 def _as_float_image(img, error: type[Exception],
@@ -243,13 +245,6 @@ def _as_float_image(img, error: type[Exception],
     img = np.asarray(img)
     if img.dtype != np.float32:
         img = np.asarray(img, dtype=np.float64)
-    return _checked_image(img, error, name)
-
-
-def _checked_image(img: np.ndarray, error: type[Exception],
-                   name: str) -> tuple[np.ndarray, bool, tuple]:
-    """A non-empty, finite (H, W) or (H, W, C) array ``img`` as (H, W, C),
-    in its own dtype, whether it was (H, W), and its min and max."""
     if img.ndim not in (2, 3):
         raise error(f"{name} must be (H, W) or (H, W, C), got shape "
                     f"{img.shape}")

@@ -45,20 +45,21 @@ a boolean index. Every temporary of these kernels has the images' dtype,
 so float32 images move half the bytes of float64 ones: at 192x640 the
 traced peaks of ``ssim_map`` and the gradient are about 4.1 and 5.1
 H*W*8 bytes for float32 images and 8.1 and 10.1 for float64 ones. The
-multi-scale loss checks and converts both images once, and computes the
-target's window terms once for its four scales; each scale runs the
-public upsample, depth conversion and warp, then the private photometric
-kernel on the warp's float32 output, cast to float64 only on the float64
-path. Each warp samples the source in the loss's dtype, as
-``geometry.warp`` samples a float32 source in float32, so the step peaks
-at about 9.1 for float32 images and 12.1 for float64 ones. On the float64
-path a source that was not float64 is held as a float64 copy across the
-scales, one image more at the peak (14.1 for out-of-range float32
-images). It holds no scale's depth or warp into the next. The hint loss
-with no mask averages every pixel, with no all-true mask. Cross-entropy
-with integer labels reads and writes only each pixel's labelled
-probability, one flat gather of H*W entries, not an (H, W, K) one-hot
-map; its sum-to-one check is one ``einsum`` over the class axis.
+multi-scale loss checks and converts both images once, through the
+single-scale kernels' pair check, and computes the target's window terms
+once for its four scales; each scale runs the public upsample, depth
+conversion and warp, then the private photometric kernel on the warp's
+float32 output, cast to float64 only on the float64 path. Each warp
+samples the source in the loss's dtype, as ``geometry.warp`` samples a
+float32 source in float32, so the step peaks at about 9.1 for float32
+images and 12.1 for float64 ones. On the float64 path a source that was
+not float64 is held as a float64 copy across the scales, one image more
+at the peak (14.1 for out-of-range float32 images). It holds no scale's
+depth or warp into the next. The hint loss with no mask averages every
+pixel, with no all-true mask. Cross-entropy with integer labels reads and
+writes only each pixel's labelled probability, one flat gather of H*W
+entries, not an (H, W, K) one-hot map; its sum-to-one check is one
+``einsum`` over the class axis.
 """
 
 from __future__ import annotations
@@ -113,24 +114,20 @@ SSIM_C1 = 0.01 ** 2
 SSIM_C2 = 0.03 ** 2
 
 
-def _photometric_image(img) -> tuple[np.ndarray, bool]:
-    """``img`` checked and converted as ``geometry._as_float_image`` does,
-    as an (H, W, C) array: a float32 image as it is, any other converted
-    to float64. Also whether it is float32 with every value in [-1, 1],
-    the dynamic range that ``SSIM_C1`` and ``SSIM_C2`` are set for."""
-    img, _, (lo, hi) = geometry._as_float_image(img, LossError, "images")
-    return img, img.dtype == np.float32 and -1.0 <= lo and hi <= 1.0
-
-
 def _pair(a, b) -> tuple[np.ndarray, np.ndarray]:
-    """Both images as (H, W, C) arrays of one shape and one dtype: float32
-    when both are float32 images in [-1, 1], else float64."""
-    a, a_fast = _photometric_image(a)
-    b, b_fast = _photometric_image(b)
-    geometry._same_shape(LossError, a, b)
-    if a_fast and b_fast:
-        return a, b
-    return a.astype(np.float64, copy=False), b.astype(np.float64, copy=False)
+    """Both images checked and converted as ``geometry._as_float_image``
+    does, as (H, W, C) arrays of one shape and one dtype: float32 when both
+    are float32 with every value in [-1, 1], the dynamic range that
+    ``SSIM_C1`` and ``SSIM_C2`` are set for, else float64."""
+    images, fast = [], True
+    for img in (a, b):
+        img, _, (lo, hi) = geometry._as_float_image(img, LossError, "images")
+        fast = fast and img.dtype == np.float32 and -1.0 <= lo and hi <= 1.0
+        images.append(img)
+    geometry._same_shape(LossError, *images)
+    if fast:
+        return tuple(images)
+    return tuple(img.astype(np.float64, copy=False) for img in images)
 
 
 def _valid_mask(mask, shape: tuple) -> np.ndarray:
@@ -461,29 +458,26 @@ def cross_entropy_grad(target, probs) -> np.ndarray:
     return grad / n
 
 
-def total_depth_loss(pe: float, hint: float, rfd: float, smooth: float,
-                     w: LossWeights = LossWeights()) -> float:
-    total = (w.lam_pe * pe + w.lam_h * hint + w.lam_rfd * rfd
-             + w.lam_s * smooth)
+def _finite_total(total) -> float:
     if not np.isfinite(total):
         raise LossError("non-finite loss component")
     return float(total)
+
+
+def total_depth_loss(pe: float, hint: float, rfd: float, smooth: float,
+                     w: LossWeights = LossWeights()) -> float:
+    return _finite_total(w.lam_pe * pe + w.lam_h * hint + w.lam_rfd * rfd
+                         + w.lam_s * smooth)
 
 
 def total_seg_loss(ps: float, rfs: float,
                    w: LossWeights = LossWeights()) -> float:
-    total = w.lam_ps * ps + w.lam_rfs * rfs
-    if not np.isfinite(total):
-        raise LossError("non-finite loss component")
-    return float(total)
+    return _finite_total(w.lam_ps * ps + w.lam_rfs * rfs)
 
 
 def total_loss(depth_loss: float, seg_loss: float,
                w: LossWeights = LossWeights()) -> float:
-    total = w.beta1 * depth_loss + w.beta2 * seg_loss
-    if not np.isfinite(total):
-        raise LossError("non-finite loss component")
-    return float(total)
+    return _finite_total(w.beta1 * depth_loss + w.beta2 * seg_loss)
 
 
 def multiscale_photometric(disparities, img_t, img_s, pose, cam,
@@ -494,11 +488,6 @@ def multiscale_photometric(disparities, img_t, img_s, pose, cam,
     conversion and warping."""
     if len(disparities) != 4:
         raise LossError("expected disparity maps at 4 scales")
-    img_t, t_fast = _photometric_image(img_t)
-    h, w_img = img_t.shape[:2]
-    if h < 8 or w_img < 8:
-        raise LossError("images must be at least 8x8, so that the 1/8 "
-                        f"scale holds a pixel; got {h}x{w_img}")
     # both images checked and converted to the loss's dtype once for the
     # four scales, and the target's window terms computed once. Each warp
     # samples the source in that dtype: on the float32 path the caller's
@@ -508,11 +497,11 @@ def multiscale_photometric(disparities, img_t, img_s, pose, cam,
     # the warp). The float32 warp is finite where the source is, and lies
     # in [-1, 1] where the source does, give or take the rounding of its
     # float32 sum: a source of all 1s can sample to 1 + 2**-23
-    src, s_fast = _photometric_image(img_s)
-    geometry._same_shape(LossError, img_t, src)
-    dtype = np.float32 if t_fast and s_fast else np.float64
-    img_t = img_t.astype(dtype, copy=False)
-    src = src.astype(dtype, copy=False)
+    img_t, src = _pair(img_t, img_s)
+    h, w_img = img_t.shape[:2]
+    if h < 8 or w_img < 8:
+        raise LossError("images must be at least 8x8, so that the 1/8 "
+                        f"scale holds a pixel; got {h}x{w_img}")
     target = _target_terms(img_t)
     losses = []
     for scale, disp in enumerate(disparities):
@@ -525,7 +514,7 @@ def multiscale_photometric(disparities, img_t, img_s, pose, cam,
             geometry.upsample_bilinear(disp, (h, w_img)), depth_params)
         warped, valid = geometry.warp(src, depth, pose, cam)
         del depth
-        warped = warped.astype(dtype, copy=False).reshape(img_t.shape)
+        warped = warped.astype(img_t.dtype, copy=False).reshape(img_t.shape)
         losses.append(_photometric(img_t, warped,
                                    _valid_mask(valid, (h, w_img)), w, target))
         del warped, valid

@@ -410,8 +410,10 @@ def refine_depth_full(depth: np.ndarray, y_refined: np.ndarray,
     class."""
     depth = geometry._as_depth(depth, RefineError)
     for img in (img_target, img_source):
-        geometry._check_map(np.asarray(img), RefineError,
-                            "images must be non-empty and finite")
+        img, _, _ = geometry._as_float_image(img, RefineError, "images")
+        if img.shape[:2] != depth.shape:
+            raise RefineError(f"images are {img.shape[:2]}, not the "
+                              f"depth's {depth.shape}")
     warped, valid = geometry.warp(img_source, depth, pose, cam)
     y_t = np.asarray(segmenter(img_target))
     y_st = np.asarray(segmenter(warped))

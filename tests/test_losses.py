@@ -334,8 +334,9 @@ def test_cross_entropy_and_grad_take_whole_float_labels(fn):
     probs = rng.random((4, 5, 3)) + 0.1
     probs /= probs.sum(axis=2, keepdims=True)
     labels = rng.integers(0, 3, (4, 5))
-    assert np.array_equal(fn(labels.astype(np.float32), probs),
-                          fn(labels, probs))
+    for dtype in (np.float32, np.float16):
+        assert np.array_equal(fn(labels.astype(dtype), probs),
+                              fn(labels, probs))
 
 
 @pytest.mark.parametrize("fn", [cross_entropy, cross_entropy_grad])
@@ -742,6 +743,17 @@ def test_multiscale_photometric_keeps_float64_for_other_images():
     assert l2.dtype == np.float32
     assert loss(l2, right) == loss(l2.astype(np.float64), r64)
     assert loss(left, r2) == loss(l64, r2.astype(np.float64))
+    # the pairs of the single-scale kernels' test: a float16 image, and a
+    # float32 value one ulp beyond [-1, 1] or 1e30 on either image
+    assert loss(left.astype(np.float16), right) == loss(
+        left.astype(np.float16).astype(np.float64), r64)
+    above = np.nextafter(np.float32(1.0), np.float32(2.0))
+    for bad in (above, -above, np.float32(1e30)):
+        far = right.copy()
+        far[h // 2, w // 2] = bad
+        far64 = far.astype(np.float64)
+        assert loss(left, far) == loss(l64, far64)
+        assert loss(far, left) == loss(far64, l64)
 
 
 def test_float32_loss_and_gradient_are_close_to_float64():

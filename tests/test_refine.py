@@ -662,6 +662,24 @@ def test_refine_depth_full_rejects_nonfinite_images(which, bad):
                               synth.intensity_segmenter(64), impl=impl)
 
 
+@pytest.mark.parametrize("which, bad", [
+    ("source", np.ones((4, 6, 1, 1))),
+    ("source", np.ones(24)),
+    ("source", np.ones((5, 6))),
+    ("target", np.ones((4, 6, 1, 1))),
+], ids=["4-d-source", "flat-source", "source-of-another-size",
+        "4-d-target"])
+def test_refine_depth_full_rejects_misshaped_images(which, bad):
+    img = np.random.default_rng(3).random((4, 6))
+    target, source = (bad, img) if which == "target" else (img, bad)
+    for impl in ("parallel", "reference"):
+        with pytest.raises(RefineError, match="images"):
+            refine_depth_full(np.full((4, 6), 3.0), np.zeros((4, 6), int),
+                              target, source, geometry.Pose.identity(),
+                              geometry.Camera(10, 10, 2.5, 1.5),
+                              synth.intensity_segmenter(64), impl=impl)
+
+
 @pytest.mark.parametrize("shape", [(0, 3), (3, 0)])
 def test_passes_reject_empty_depth(shape):
     depth = np.zeros(shape)

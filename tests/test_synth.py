@@ -246,9 +246,10 @@ def test_corrupt_takes_whole_float_labels_as_int32():
     seg = rng.choice(np.array([7, -2, 40, 3], np.int32), size=(9, 11))
     spec = CorruptionSpec(bleed_width=1, seg_flip_rate=0.5, seed=4)
     depth = rng.uniform(1.0, 9.0, seg.shape)
-    for got, want in zip(corrupt(depth, seg.astype(np.float32), spec),
-                         corrupt(depth, seg, spec)):
-        assert got.dtype == want.dtype and np.array_equal(got, want)
+    for dtype in (np.float32, np.float16):
+        for got, want in zip(corrupt(depth, seg.astype(dtype), spec),
+                             corrupt(depth, seg, spec)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_parse_scene_config(tmp_path):
